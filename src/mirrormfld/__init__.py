@@ -17,9 +17,7 @@ from .dynamics import (  # noqa: F401
     SamplerConfig,
     initial_ensemble,
     inner_diffusion,
-    mmfld_step,
     project_simplex,
-    projected_mfld_step,
     run_sampler,
 )
 from .geometry import (  # noqa: F401

@@ -345,7 +345,10 @@ def build_objective(config: RunConfig):
     if spec.kind == "linear-potential":
         return LinearPotential(alpha=spec.alpha,
                                reference_temperature=spec.reference_temperature)
-    features, labels = load_dataset(spec.dataset)
+    try:
+        features, labels = load_dataset(spec.dataset)
+    except ValueError as exc:
+        raise ConfigError([str(exc)]) from exc
     expected = features.shape[1] + 1
     if config.domain.bounds is None or len(config.domain.bounds) != expected:
         raise ConfigError([

@@ -1,23 +1,25 @@
 """Particle samplers: mirror mean-field Langevin, projected baseline, plain MFLD.
 
-The mirror sampler advances each particle through the dual space.  One
-iteration, with statistics frozen at the current ensemble:
+The mirror sampler's state is the dual point y of each particle; the
+ambient point x is only its image.  One iteration, with statistics frozen
+at the current ensemble:
 
-    y   <- forward(x_k) - eta * grad dF/dmu_k (x_k)          (full drift)
+    y   <- y_k - eta * pullback(grad dF/dmu_k (x_k))          (full drift)
     y   <- K Euler-Maruyama substeps of the pure mirror diffusion
            dY = sqrt(2 * lambda * H(backward(Y))) dB  over the eta window
-    x_{k+1} <- backward(y)
+    y_{k+1} <- y,   x_{k+1} <- ambient_from_dual(y)
 
-``backward`` is interior-valued, so iterates never leave the domain; the
-particle positions themselves are never projected or clamped (dual
-increments are tamed, see ``SamplerConfig``).  The projected baseline
+``ambient_from_dual`` is interior-valued, so iterates never leave the
+domain; the particle positions themselves are never projected or clamped
+(dual increments are tamed, see ``SamplerConfig``).  The projected baseline
 instead works in ambient coordinates with isotropic noise and a Euclidean
 projection after every update; the plain ``mfld`` sampler is the same
 update without projection, for unconstrained sanity runs.
 
 All per-particle noise comes from the counter-based streams in
-``rngstream``, keyed by (seed, particle, iteration, substep): results are
-independent of how particles are chunked across workers, and a fixed seed
+``rngstream``, keyed by (seed, particle, iteration, substep), so the
+ensemble is the whole state of a run: results are independent of how
+particles are chunked across workers or a run is split, and a fixed seed
 reproduces a run bit-for-bit on the same platform.
 """
 from __future__ import annotations
@@ -75,14 +77,16 @@ class SamplerConfig:
 class ParticleEnsemble:
     """N particle rows plus the iteration counter and RNG lineage.
 
-    ``points`` is (N, m) intrinsic for the mirror samplers and (N, d)
-    ambient for the projected/plain ones.
+    ``points`` is the (N, d) ambient view for every sampler.  A mirror
+    ensemble also carries its (N, m) ``dual`` state, from which ``points``
+    is derived; it is ``None`` until ``run_sampler`` first enters it.
     """
 
     points: Array
     iteration: int = 0
     seed: int = 0
     protocol: str = field(default=rngstream.PROTOCOL)
+    dual: Array | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -95,23 +99,22 @@ class ParticleEnsemble:
         return self.points.shape[0]
 
 
-def initial_ensemble(mirror_map, n: int, seed: int, *, ambient: bool = False) -> ParticleEnsemble:
+def initial_ensemble(mirror_map, n: int, seed: int, *, ambient=None) -> ParticleEnsemble:
     """Draw N independent starting points from the uniform law on the domain.
 
     Simplex: normalized exponentials (exponentials via inverse CDF to keep
     the draw within the one-word-per-value stream protocol), giving the
     uniform distribution on the simplex.  Box: uniform per coordinate.
-    With ``ambient=True`` the simplex ensemble keeps all d coordinates,
-    as the projected sampler expects; the underlying draws are identical,
-    so mirror and projected runs share their initial particle sets.
+    Every sampler gets the same (N, d) draw, so mirror and projected runs
+    share their initial particle sets.  ``ambient`` is ignored; it is
+    still accepted because the set-up probe in ``perfbench/`` passes it.
     """
     if n < 1:
         raise ValueError("need at least one particle")
     if mirror_map.kind == "simplex-entropy":
         u = rngstream.uniform_block(seed, rngstream.INIT_ITERATION, 0, 0, n, mirror_map.ambient_dim)
         e = -np.log1p(-u)
-        x = e / np.sum(e, axis=-1, keepdims=True)
-        pts = x if ambient else x[:, :-1]
+        pts = e / np.sum(e, axis=-1, keepdims=True)
     else:
         u = rngstream.uniform_block(seed, rngstream.INIT_ITERATION, 0, 0, n, mirror_map.intrinsic_dim)
         pts = mirror_map.lower + u * (mirror_map.upper - mirror_map.lower)
@@ -157,18 +160,18 @@ def _run_chunks(fn, ranges, pool):
         list(pool.map(lambda r: fn(*r), ranges))
 
 
-def _mirror_iteration(dual: Array, ambient: Array, mirror_map, objective,
-                      cfg: SamplerConfig, seed: int, iteration: int,
-                      *, pool=None, chunks: int = 1) -> tuple[Array, Array]:
+def _mirror_iteration(ensemble: ParticleEnsemble, mirror_map, objective,
+                      cfg: SamplerConfig, *, pool=None, chunks: int = 1) -> ParticleEnsemble:
     """One synchronous mirror iteration carried entirely in dual coordinates.
 
     Statistics are frozen at the incoming ensemble; every particle reads
-    the same snapshot.  Working on (dual, ambient) pairs avoids the lossy
-    primal round trip: reconstructing the pinned simplex coordinate from
-    stored intrinsic floats bottoms out at machine epsilon, while the dual
-    representation tracks particles within any positive distance of a face.
+    the same snapshot.  The carried dual state is never rebuilt from primal
+    floats, a lossy round trip that bottoms out at machine epsilon near a
+    face, so particles are tracked within any positive distance of it.
     """
+    dual, ambient = ensemble.dual, ensemble.points
     n, m = dual.shape
+    seed, k = ensemble.seed, ensemble.iteration
     stats = objective.stats(ambient)
     out_dual = np.empty_like(dual)
     out_ambient = np.empty_like(ambient)
@@ -178,32 +181,13 @@ def _mirror_iteration(dual: Array, ambient: Array, mirror_map, objective,
         drift = np.clip(-cfg.eta * grad, -cfg.dual_step_cap, cfg.dual_step_cap)
         y = inner_diffusion(
             dual[lo:hi] + drift, mirror_map, cfg.temperature, cfg.eta, cfg.substeps,
-            lambda s: rngstream.normal_block(seed, iteration, s, lo, hi, m),
+            lambda s: rngstream.normal_block(seed, k, s, lo, hi, m),
             step_cap=cfg.dual_step_cap)
         out_dual[lo:hi] = y
         out_ambient[lo:hi] = mirror_map.ambient_from_dual(y)
 
     _run_chunks(update, _chunk_ranges(n, chunks), pool)
-    return out_dual, out_ambient
-
-
-def _intrinsic_view(ambient: Array, mirror_map) -> Array:
-    if mirror_map.kind == "simplex-entropy":
-        return ambient[..., :-1]
-    return ambient
-
-
-def mmfld_step(ensemble: ParticleEnsemble, mirror_map, objective, cfg: SamplerConfig,
-               *, pool=None, chunks: int = 1) -> ParticleEnsemble:
-    """One mirror step on intrinsic coordinates: forward, drift, diffuse, back."""
-    pts = ensemble.points
-    dual = mirror_map.forward(pts)
-    ambient = mirror_map.embed(pts)
-    _, ambient = _mirror_iteration(dual, ambient, mirror_map, objective, cfg,
-                                   ensemble.seed, ensemble.iteration,
-                                   pool=pool, chunks=chunks)
-    return replace(ensemble, points=_intrinsic_view(ambient, mirror_map),
-                   iteration=ensemble.iteration + 1)
+    return replace(ensemble, points=out_ambient, dual=out_dual, iteration=k + 1)
 
 
 def project_simplex(v: Array) -> Array:
@@ -259,63 +243,48 @@ def euclidean_step(ensemble: ParticleEnsemble, mirror_map, objective, cfg: Sampl
         out[lo:hi] = _project_ambient(x, mirror_map) if project else x
 
     _run_chunks(update, _chunk_ranges(n, chunks), pool)
-    return replace(ensemble, points=out, iteration=k + 1)
-
-
-def projected_mfld_step(ensemble, mirror_map, objective, cfg, **kw) -> ParticleEnsemble:
-    if cfg.sampler != "projected-mfld":
-        cfg = replace(cfg, sampler="projected-mfld")
-    return euclidean_step(ensemble, mirror_map, objective, cfg, **kw)
+    # a dual carried in from a mirror run no longer describes these points
+    return replace(ensemble, points=out, dual=None, iteration=k + 1)
 
 
 def run_sampler(ensemble: ParticleEnsemble, mirror_map, objective, cfg: SamplerConfig,
                 *, diagnostics=None, every: int = 1, workers: int = 1):
     """Advance the ensemble cfg.steps times, collecting diagnostics rows.
 
-    ``diagnostics(iteration, ensemble, ambient)`` is called on the initial
-    state, at every ``every``-th iteration and on the final one; its return
-    values are collected in order.  ``ambient`` is the full-coordinate view
-    of the ensemble (for the mirror sampler it comes straight from the dual
-    state, so it stays positive arbitrarily close to a face).  Step failures
-    are re-raised as ``SamplerError`` with the offending iteration attached.
-    The result is deterministic for fixed (seed, N, steps, substeps,
-    sampler) and any worker count.
+    The step is ``_mirror_iteration`` for ``mmfld`` and ``euclidean_step``
+    otherwise.  A mirror ensemble without a dual enters the mirror state
+    from its intrinsic coordinates first; feeding the returned ensemble
+    back in continues the run exactly.  ``diagnostics(ensemble)`` is called
+    on the initial state, at every ``every``-th iteration and on the final
+    one (not at all for zero steps); its return values are collected in
+    order.  Step failures are re-raised as ``SamplerError`` with the
+    offending iteration attached.  The result is deterministic for fixed
+    (seed, N, steps, substeps, sampler) and any worker count.
     """
+    step = _mirror_iteration if cfg.sampler == "mmfld" else euclidean_step
+    if cfg.sampler == "mmfld" and ensemble.dual is None:
+        x = ensemble.points[:, :mirror_map.intrinsic_dim]
+        ensemble = replace(ensemble, points=mirror_map.embed(x), dual=mirror_map.forward(x))
     rows = []
     if cfg.steps == 0:
         return ensemble, rows
     if ensemble.iteration + cfg.steps >= rngstream.INIT_ITERATION:
         raise ValueError("iteration counter would collide with the init stream")
-    mirror = cfg.sampler == "mmfld"
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        if mirror:
-            dual = mirror_map.forward(ensemble.points)
-            ambient = mirror_map.embed(ensemble.points)
-        else:
-            ambient = ensemble.points
         if diagnostics is not None:
-            rows.append(diagnostics(ensemble.iteration, ensemble, ambient))
+            rows.append(diagnostics(ensemble))
         last = ensemble.iteration + cfg.steps
         while ensemble.iteration < last:
             k = ensemble.iteration
             try:
-                if mirror:
-                    dual, ambient = _mirror_iteration(
-                        dual, ambient, mirror_map, objective, cfg,
-                        ensemble.seed, k, pool=pool, chunks=workers)
-                    ensemble = replace(ensemble,
-                                       points=_intrinsic_view(ambient, mirror_map),
-                                       iteration=k + 1)
-                else:
-                    ensemble = euclidean_step(ensemble, mirror_map, objective, cfg,
-                                              pool=pool, chunks=workers)
-                    ambient = ensemble.points
+                ensemble = step(ensemble, mirror_map, objective, cfg,
+                                pool=pool, chunks=workers)
             except Exception as exc:
                 raise SamplerError(k, str(exc)) from exc
             done = ensemble.iteration
             if diagnostics is not None and (done % every == 0 or done == last):
-                rows.append(diagnostics(done, ensemble, ambient))
+                rows.append(diagnostics(ensemble))
     finally:
         if pool is not None:
             pool.shutdown(wait=True)

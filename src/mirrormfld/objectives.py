@@ -219,11 +219,14 @@ MeanFieldObjective = LinearPotential | MeanMatchBarrier | NetworkRisk
 def load_dataset(path) -> tuple[Array, Array]:
     """Read an (n, p+1) CSV of feature columns followed by a label column.
 
-    A non-numeric first row is treated as a header and skipped.
+    A non-numeric first row is treated as a header and skipped.  A
+    non-finite cell (nan, inf) raises ``ValueError`` naming the file, the
+    row and the column, both counted from 1 as in the file.
     """
     rows = []
     with open(Path(path), newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row:
                 continue
             try:
@@ -231,6 +234,11 @@ def load_dataset(path) -> tuple[Array, Array]:
             except ValueError:
                 if rows:
                     raise
+                continue
+            bad = np.flatnonzero(~np.isfinite(rows[-1]))
+            if bad.size:
+                raise ValueError(f"dataset {path}: row {reader.line_num}, column "
+                                 f"{bad[0] + 1}: non-finite value {row[bad[0]].strip()!r}")
     data = np.asarray(rows, dtype=np.float64)
     if data.ndim != 2 or data.shape[1] < 2:
         raise ValueError(f"dataset {path} must have at least one feature column and a label")

@@ -62,10 +62,11 @@ def metrics_recorder(mirror_map, objective, epsilon: float):
     clock = time.perf_counter
     start = clock()
 
-    def record(iteration: int, ensemble: ParticleEnsemble, ambient: Array) -> MetricsRow:
+    def record(ensemble: ParticleEnsemble) -> MetricsRow:
+        ambient = ensemble.points
         stats = objective.stats(ambient)
         return MetricsRow(
-            iteration=iteration,
+            iteration=ensemble.iteration,
             objective_value=objective.value(ambient, stats),
             boundary_fraction=boundary_fraction(ambient, mirror_map, epsilon),
             mean=tuple(float(v) for v in np.mean(ambient, axis=0)),
@@ -126,8 +127,7 @@ def run_experiment(config: RunConfig, *, workers: int = 1,
     spec = config.sampler
     cfg = SamplerConfig(sampler=spec.kind, eta=spec.eta, temperature=spec.temperature,
                         substeps=spec.substeps, steps=spec.steps)
-    ensemble = initial_ensemble(mirror_map, spec.particles, config.seed,
-                                ambient=spec.kind != "mmfld")
+    ensemble = initial_ensemble(mirror_map, spec.particles, config.seed)
     record = metrics_recorder(mirror_map, objective, config.boundary_epsilon)
 
     t0 = time.perf_counter()
@@ -136,8 +136,7 @@ def run_experiment(config: RunConfig, *, workers: int = 1,
                                  workers=workers)
     runtime = time.perf_counter() - t0
 
-    ambient = mirror_map.embed(ensemble.points) if spec.kind == "mmfld" else ensemble.points
-    final = rows[-1] if rows else record(ensemble.iteration, ensemble, ambient)
+    final = rows[-1] if rows else record(ensemble)
     summary = {
         "version": __version__,
         "label": label or f"{spec.kind}_seed{config.seed}",
@@ -149,7 +148,7 @@ def run_experiment(config: RunConfig, *, workers: int = 1,
         "final_objective": final.objective_value,
         "final_boundary_fraction": final.boundary_fraction,
         "mean": list(final.mean),
-        "variance": np.var(ambient, axis=0).tolist(),
+        "variance": np.var(ensemble.points, axis=0).tolist(),
         "runtime_s": runtime,
         "config": config.to_dict(),
     }
@@ -164,7 +163,7 @@ def run_experiment(config: RunConfig, *, workers: int = 1,
     particles_path = None
     if config.dump_particles:
         particles_path = out_dir / f"{stem}_particles.csv"
-        write_particles_csv(particles_path, ambient)
+        write_particles_csv(particles_path, ensemble.points)
     return RunResult(summary=summary, metrics=tuple(rows), metrics_path=metrics_path,
                      summary_path=summary_path, particles_path=particles_path,
                      ensemble=ensemble)

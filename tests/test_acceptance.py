@@ -295,9 +295,9 @@ def test_criterion_08_propagation_of_chaos():
         # F(mu*) = 0, so the settled F itself is the particle gap
         ens = initial_ensemble(box, n, seed=seed)
         tail = []
-        def diag(k, e, amb):
-            if k > 1000:
-                tail.append(net.value(amb, net.stats(amb)))
+        def diag(e):
+            if e.iteration > 1000:
+                tail.append(net.value(e.points, net.stats(e.points)))
         run_sampler(ens, box, net, cfg, diagnostics=diag, every=1)
         return float(np.mean(tail))
 

@@ -147,6 +147,21 @@ def test_network_bounds_must_match_feature_count(tmp_path):
         build_objective(parse_config(json.dumps(raw)))
 
 
+def test_non_finite_dataset_is_a_config_error(tmp_path):
+    data = tmp_path / "net.csv"
+    data.write_text("0.1,0.2,1.0\n0.2,nan,0.5\n")
+    raw = {
+        "domain": {"kind": "box", "bounds": [[-3, 3]] * 3},
+        "objective": {"kind": "mf-network-risk", "dataset": str(data)},
+        "sampler": {"kind": "mmfld", "eta": 0.05, "lambda": 0.05,
+                    "steps": 5, "particles": 10},
+    }
+    cfg = parse_config(json.dumps(raw))
+    with pytest.raises(ConfigError) as err:
+        build_objective(cfg)
+    assert str(data) in str(err.value) and "row 2, column 2" in str(err.value)
+
+
 # -- presets ------------------------------------------------------------------
 
 def test_figure1_paper_scale_matches_experiment_settings():

@@ -9,9 +9,7 @@ from mirrormfld.dynamics import (
     euclidean_step,
     initial_ensemble,
     inner_diffusion,
-    mmfld_step,
     project_simplex,
-    projected_mfld_step,
     run_sampler,
 )
 from mirrormfld.errors import SamplerError
@@ -28,27 +26,28 @@ def constant_potential():
 
 def test_zero_drift_zero_noise_is_identity(simplex3):
     cfg = SamplerConfig(sampler="mmfld", eta=0.1, temperature=0.0, steps=1)
-    ens = ParticleEnsemble(points=np.array([[0.3, 0.3], [0.2, 0.6]]), seed=0)
-    out = mmfld_step(ens, simplex3, constant_potential(), cfg)
+    ens = ParticleEnsemble(points=np.array([[0.3, 0.3, 0.4], [0.2, 0.6, 0.2]]), seed=0)
+    out, _ = run_sampler(ens, simplex3, constant_potential(), cfg)
     assert np.allclose(out.points, ens.points, atol=1e-14)
     assert out.iteration == 1
 
 
 def test_zero_eta_is_identity_any_temperature(simplex3):
     cfg = SamplerConfig(sampler="mmfld", eta=0.0, temperature=0.7, steps=1)
-    ens = ParticleEnsemble(points=np.array([[0.25, 0.35]]), seed=3)
-    out = mmfld_step(ens, simplex3, MeanMatchBarrier(target=Q), cfg)
+    ens = ParticleEnsemble(points=np.array([[0.25, 0.35, 0.4]]), seed=3)
+    out, _ = run_sampler(ens, simplex3, MeanMatchBarrier(target=Q), cfg)
     assert np.allclose(out.points, ens.points, atol=1e-14)
 
 
 def test_drift_step_composes_geometry_and_objective(simplex3):
     # single particle at the barycenter, lambda = 0: pure mirror drift
     cfg = SamplerConfig(sampler="mmfld", eta=0.1, temperature=0.0, steps=1)
-    ens = ParticleEnsemble(points=np.array([[1 / 3, 1 / 3]]), seed=0)
-    out = mmfld_step(ens, simplex3, MeanMatchBarrier(target=Q, beta=0.0), cfg)
+    ens = ParticleEnsemble(points=np.array([[1 / 3, 1 / 3, 1 / 3]]), seed=0)
+    out, _ = run_sampler(ens, simplex3, MeanMatchBarrier(target=Q, beta=0.0), cfg)
     g_ambient = 2 * (np.array([1 / 3, 1 / 3, 1 / 3]) - np.array(Q))
     y = -0.1 * simplex3.pullback(g_ambient)
-    assert np.allclose(out.points[0], simplex3.backward(y), atol=1e-14)
+    assert np.allclose(out.dual[0], y, atol=1e-14)
+    assert np.allclose(out.points[0], simplex3.ambient_from_dual(y), atol=1e-14)
 
 
 def test_inner_diffusion_zero_temperature(simplex3):
@@ -111,15 +110,15 @@ def test_project_simplex_rows_sum_to_one(rng):
 def test_projected_step_identity_without_noise(simplex3):
     cfg = SamplerConfig(sampler="projected-mfld", eta=0.0, temperature=0.0, steps=1)
     pts = np.array([[0.3, 0.3, 0.4], [0.2, 0.6, 0.2]])
-    out = projected_mfld_step(ParticleEnsemble(points=pts, seed=0), simplex3,
-                              constant_potential(), cfg)
+    out = euclidean_step(ParticleEnsemble(points=pts, seed=0), simplex3,
+                         constant_potential(), cfg)
     assert np.allclose(out.points, pts, atol=1e-12)
 
 
 def test_projected_step_keeps_simplex(simplex3):
     cfg = SamplerConfig(sampler="projected-mfld", eta=3e-3, temperature=0.1, steps=1)
-    ens = initial_ensemble(simplex3, 500, seed=1, ambient=True)
-    out = projected_mfld_step(ens, simplex3, MeanMatchBarrier(target=Q, beta=1e-4), cfg)
+    ens = initial_ensemble(simplex3, 500, seed=1)
+    out = euclidean_step(ens, simplex3, MeanMatchBarrier(target=Q, beta=1e-4), cfg)
     assert np.allclose(out.points.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(out.points > 0)
 
@@ -138,7 +137,7 @@ def test_euclidean_step_box_clips(rng):
 
 def test_initial_ensemble_uniform_law(simplex3):
     ens = initial_ensemble(simplex3, 200_000, seed=11)
-    amb = simplex3.embed(ens.points)
+    amb = ens.points
     assert np.all(amb > 0)
     assert np.allclose(amb.mean(axis=0), 1 / 3, atol=0.005)
     # Dirichlet(1,1,1) coordinate variance is 1/18
@@ -146,9 +145,11 @@ def test_initial_ensemble_uniform_law(simplex3):
 
 
 def test_initial_ensemble_ambient_matches_intrinsic(simplex3):
-    a = initial_ensemble(simplex3, 50, seed=4)
-    b = initial_ensemble(simplex3, 50, seed=4, ambient=True)
-    assert np.allclose(simplex3.embed(a.points), b.points)
+    # the (N, d) draw agrees with the embedding of its intrinsic coordinates,
+    # which is what the mirror sampler's state entry rebuilds
+    ens = initial_ensemble(simplex3, 50, seed=4)
+    assert ens.points.shape == (50, 3) and ens.dual is None
+    assert np.allclose(simplex3.embed(ens.points[:, :2]), ens.points)
 
 
 def test_initial_ensemble_box():
@@ -162,18 +163,25 @@ def test_initial_ensemble_box():
 # -- run_sampler ------------------------------------------------------------------
 
 def test_zero_steps_returns_unchanged(simplex3):
+    # zero steps only enter the mirror state; an ensemble already in it is
+    # returned as it is
     ens = initial_ensemble(simplex3, 10, seed=0)
     cfg = SamplerConfig(sampler="mmfld", eta=1e-2, temperature=0.1, steps=0)
     out, rows = run_sampler(ens, simplex3, MeanMatchBarrier(target=Q), cfg,
-                            diagnostics=lambda k, e, a: k)
-    assert rows == [] and out is ens
+                            diagnostics=lambda e: e.iteration)
+    assert rows == [] and out.iteration == ens.iteration
+    assert np.array_equal(out.points, simplex3.embed(ens.points[:, :2]))
+    assert np.array_equal(out.dual, simplex3.forward(ens.points[:, :2]))
+    again, rows = run_sampler(out, simplex3, MeanMatchBarrier(target=Q), cfg,
+                              diagnostics=lambda e: e.iteration)
+    assert rows == [] and again is out
 
 
 def test_diagnostics_cadence(simplex3):
     ens = initial_ensemble(simplex3, 16, seed=0)
     cfg = SamplerConfig(sampler="mmfld", eta=1e-3, temperature=0.1, steps=10)
     _, rows = run_sampler(ens, simplex3, MeanMatchBarrier(target=Q), cfg,
-                          diagnostics=lambda k, e, a: k, every=4)
+                          diagnostics=lambda e: e.iteration, every=4)
     assert rows == [0, 4, 8, 10]
 
 
@@ -203,7 +211,7 @@ def test_particle_permutation_equivariance(simplex3, rng):
     base = initial_ensemble(simplex3, 64, seed=7)
     perm = rng.permutation(64)
 
-    stepped = mmfld_step(base, simplex3, obj, cfg)
+    stepped, _ = run_sampler(base, simplex3, obj, cfg)
 
     from mirrormfld import dynamics as dyn
     orig = dyn.rngstream.normal_block
@@ -211,10 +219,77 @@ def test_particle_permutation_equivariance(simplex3, rng):
         dyn.rngstream.normal_block = (
             lambda seed, it, sub, lo, hi, dim: orig(seed, it, sub, 0, 64, dim)[perm][lo:hi])
         permuted_ens = ParticleEnsemble(points=base.points[perm], seed=7)
-        stepped_perm = mmfld_step(permuted_ens, simplex3, obj, cfg)
+        stepped_perm, _ = run_sampler(permuted_ens, simplex3, obj, cfg)
     finally:
         dyn.rngstream.normal_block = orig
     assert np.allclose(stepped_perm.points, stepped.points[perm], atol=1e-14)
+
+
+@pytest.mark.parametrize("sampler", ["mmfld", "projected-mfld", "mfld"])
+def test_run_sampler_looks_up_step_at_call_time(simplex3, monkeypatch, sampler):
+    # outside-in tracers patch the step functions by module attribute, so
+    # run_sampler must call whatever the module holds when it is called
+    from mirrormfld import dynamics as dyn
+    calls = {"_mirror_iteration": 0, "euclidean_step": 0}
+    for name in calls:
+        def counting(*args, _name=name, _step=getattr(dyn, name), **kwargs):
+            calls[_name] += 1
+            return _step(*args, **kwargs)
+        monkeypatch.setattr(dyn, name, counting)
+    cfg = SamplerConfig(sampler=sampler, eta=1e-3, temperature=0.1, steps=7)
+    run_sampler(initial_ensemble(simplex3, 16, seed=0), simplex3,
+                MeanMatchBarrier(target=Q), cfg, workers=2)
+    used = "_mirror_iteration" if sampler == "mmfld" else "euclidean_step"
+    assert calls == {name: cfg.steps if name == used else 0 for name in calls}
+
+
+def _split_case(name):
+    from mirrormfld.geometry import BoxLogBarrierMap, SimplexEntropyMap
+    from mirrormfld.objectives import NetworkRisk
+    simplex = SimplexEntropyMap(ambient_dim=3)
+    box = BoxLogBarrierMap(bounds=((-3.0, 3.0),) * 3)
+    theta = np.arange(8) * np.pi / 4
+    ring = np.column_stack([np.cos(theta), np.sin(theta)])
+    net = NetworkRisk(features=np.concatenate([0.7 * ring, 1.4 * ring]),
+                      labels=np.zeros(16))
+    return {
+        "mmfld-simplex": (simplex, MeanMatchBarrier(target=Q, beta=1e-4),
+                          SamplerConfig(sampler="mmfld", eta=3e-3, temperature=0.1)),
+        "mmfld-box": (box, net, SamplerConfig(sampler="mmfld", eta=0.1, temperature=0.1)),
+        "projected-mfld": (simplex, MeanMatchBarrier(target=Q, beta=0.0),
+                           SamplerConfig(sampler="projected-mfld", eta=3e-3,
+                                         temperature=0.1)),
+        "mfld": (box, net, SamplerConfig(sampler="mfld", eta=0.1, temperature=0.1)),
+    }[name]
+
+
+@pytest.mark.parametrize("case", ["mmfld-simplex", "mmfld-box", "projected-mfld", "mfld"])
+def test_split_run_equals_unsplit_run(case):
+    # K + K steps, feeding the returned ensemble back in, equal 2K steps:
+    # the ensemble is the whole state of a run
+    from dataclasses import replace
+    from mirrormfld.runner import metrics_recorder
+    mirror_map, obj, cfg = _split_case(case)
+    k, n, every = 100, 500, 10
+    record = metrics_recorder(mirror_map, obj, 1e-3)
+
+    def run(ens, steps):
+        out, rows = run_sampler(ens, mirror_map, obj, replace(cfg, steps=steps),
+                                diagnostics=record, every=every)
+        return out, [replace(r, wall_ms=0.0) for r in rows]
+
+    start = initial_ensemble(mirror_map, n, seed=4)
+    whole, whole_rows = run(start, 2 * k)
+    half, first_rows = run(start, k)
+    split, second_rows = run(half, k)
+    assert split.iteration == whole.iteration == 2 * k
+    assert np.array_equal(split.points, whole.points)
+    if cfg.sampler == "mmfld":
+        assert np.array_equal(split.dual, whole.dual)
+    else:
+        assert split.dual is None and whole.dual is None
+    assert second_rows[0] == first_rows[-1]
+    assert first_rows + second_rows[1:] == whole_rows
 
 
 def test_feasibility_over_long_run(simplex3):
@@ -224,7 +299,7 @@ def test_feasibility_over_long_run(simplex3):
     mins = []
     ens = initial_ensemble(simplex3, 2000, seed=123)
     run_sampler(ens, simplex3, obj, cfg,
-                diagnostics=lambda k, e, a: mins.append(a.min()))
+                diagnostics=lambda e: mins.append(e.points.min()))
     assert min(mins) > 0.0
 
 
@@ -271,7 +346,7 @@ def test_continuous_limit_consistency(simplex3):
         cfg = SamplerConfig(sampler="mmfld", eta=eta, temperature=0.1, steps=steps)
         state = {}
         run_sampler(initial_ensemble(simplex3, n, seed=31), simplex3, obj, cfg,
-                    diagnostics=lambda k, e, a: state.update(amb=a), every=steps)
+                    diagnostics=lambda e: state.update(amb=e.points), every=steps)
         amb = state["amb"]
         return amb.mean(axis=0), amb.std(axis=0) / np.sqrt(n)
 

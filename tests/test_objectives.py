@@ -214,6 +214,19 @@ def test_load_dataset_roundtrip(tmp_path, rng):
     assert np.allclose(z, z2) and np.allclose(y, y2)
 
 
+@pytest.mark.parametrize("text, where, cell", [
+    ("f0,f1,label\n0.1,0.2,1.0\n0.3,nan,0.5\n", "row 3, column 2", "nan"),
+    ("0.1,0.2,1.0\n0.3,0.4,0.5\n\n0.5,0.6, inf\n", "row 4, column 3", "inf"),
+])
+def test_load_dataset_rejects_non_finite(tmp_path, text, where, cell):
+    path = tmp_path / "net.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        load_dataset(path)
+    assert str(path) in str(err.value) and where in str(err.value)
+    assert repr(cell) in str(err.value)
+
+
 def test_load_dataset_rejects_ragged(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0\n")

@@ -107,6 +107,16 @@ def test_dump_particles(tmp_path):
     assert np.allclose(pts.sum(axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("sampler", ["mmfld", "projected-mfld"])
+def test_final_outputs_come_from_carried_state(tmp_path, sampler):
+    res = run_experiment(small_config(tmp_path, **{"output.dump_particles": True,
+                                                   "sampler.kind": sampler}))
+    rows = read_rows(res.particles_path)
+    pts = np.array([[float(v) for v in r] for r in rows[1:]])
+    assert np.array_equal(pts, res.ensemble.points)
+    assert res.summary["variance"] == np.var(res.ensemble.points, axis=0).tolist()
+
+
 def test_identical_runs_byte_identical_excluding_wall_clock(tmp_path):
     a = run_experiment(small_config(tmp_path / "a", seed=5))
     b = run_experiment(small_config(tmp_path / "b", seed=5))
