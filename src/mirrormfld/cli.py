@@ -31,14 +31,11 @@ EXIT_RUNTIME = 3
 def _load_run_config(args) -> config_mod.RunConfig:
     if bool(args.config) == bool(args.preset):
         raise ConfigError(["provide exactly one of a config file or --preset"])
+    source = args.config
     if args.preset:
-        overrides = {}
-        if args.paper_scale:
-            overrides["paper_scale"] = True
-        raw = config_mod.preset_config(args.preset, **overrides)
-    else:
-        return _apply_overrides(config_mod.parse_config(args.config), args)
-    return _apply_overrides(config_mod.parse_config(json.dumps(raw)), args)
+        overrides = {"paper_scale": True} if args.paper_scale else {}
+        source = config_mod.preset_config(args.preset, **overrides)
+    return _apply_overrides(config_mod.parse_config(source), args)
 
 
 def _apply_overrides(cfg: config_mod.RunConfig, args) -> config_mod.RunConfig:
@@ -55,7 +52,7 @@ def _apply_overrides(cfg: config_mod.RunConfig, args) -> config_mod.RunConfig:
         raw["output"]["dir"] = args.out_dir
     if getattr(args, "dump_particles", False):
         raw["output"]["dump_particles"] = True
-    return config_mod.parse_config(json.dumps(raw))
+    return config_mod.parse_config(raw)
 
 
 def _cmd_run(args) -> int:
@@ -158,6 +155,13 @@ def _selfcheck_geometry(rng) -> list[str]:
             bound = np.full_like(err, 1e-8)
         if np.any(err > bound):
             failures.append(f"{name} dual round trip error {np.max(err):.2e}")
+        xi = rng.standard_normal(y.shape)
+        _, ell = mm.metric_from_dual(y, 0.7)
+        dense = np.einsum("...ij,...j->...i", ell, xi)
+        scale = np.abs(y) + np.einsum("...ij,...j->...i", np.abs(ell), np.abs(xi))
+        err = np.max(np.abs(mm.diffusion_substep(y, 0.7, xi) - (y + dense)) / scale)
+        if err > 1e-12:
+            failures.append(f"{name} kick differs from its dense factor by {err:.2e}")
         h, ell = mm.metric(pts, 0.7)
         err = np.max(np.abs(ell @ np.swapaxes(ell, -1, -2) - 0.7 * h))
         if err > 1e-10:

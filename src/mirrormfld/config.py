@@ -1,10 +1,10 @@
 """Run configuration: schema, validation, presets.
 
-Configs are JSON (a file path or inline text).  Validation is strict --
-unknown keys are rejected with a suggestion, every error is reported (not
-just the first) -- and the parsed config serializes back to the identical
-canonical dictionary, which ``runner`` echoes into run summaries for
-provenance.
+Configs are JSON (a file path or inline text) or an already-loaded mapping.
+Validation is strict -- unknown keys are rejected with a suggestion, every
+error is reported (not just the first), every number must be finite -- and
+the parsed config serializes back to the identical canonical dictionary,
+which ``runner`` echoes into run summaries for provenance.
 
 Schema (defaults in brackets)::
 
@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import difflib
 import json
+import math
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -130,7 +132,7 @@ class _Checker:
         self.errors.append(msg)
 
     def section(self, raw, where, known):
-        if not isinstance(raw, dict):
+        if not isinstance(raw, Mapping):
             self.fail(f"{where}: expected an object")
             return {}
         for key in raw:
@@ -157,6 +159,9 @@ class _Checker:
         if not isinstance(v, kind):
             self.fail(f"'{name}' must be a {kind.__name__}, got {type(v).__name__}")
             return default
+        if kind is float and not math.isfinite(v):
+            self.fail(f"'{name}' must be finite (got {v})")
+            return default
         if minimum is not None and v < minimum:
             self.fail(f"'{name}' must be >= {minimum} (got {v})")
             return default
@@ -178,6 +183,9 @@ class _Checker:
         if (not isinstance(v, list) or not v
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)):
             self.fail(f"'{name}' must be a nonempty list of numbers")
+            return None
+        if not all(math.isfinite(x) for x in v):
+            self.fail(f"'{name}' entries must be finite")
             return None
         if positive and any(x <= 0 for x in v):
             self.fail(f"'{name}' entries must be positive")
@@ -201,10 +209,12 @@ def _parse_domain(chk, raw):
         bounds = raw.get("bounds")
         ok = (isinstance(bounds, list) and bounds
               and all(isinstance(b, list) and len(b) == 2
-                      and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in b)
+                      and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                              and math.isfinite(x) for x in b)
                       and b[0] < b[1] for b in bounds))
         if not ok:
-            chk.fail("'domain.bounds' must be a nonempty list of [a, b] pairs with a < b")
+            chk.fail("'domain.bounds' must be a nonempty list of finite [a, b] pairs "
+                     "with a < b")
             return DomainSpec(kind="box")
         return DomainSpec(kind="box", bounds=tuple((float(a), float(b)) for a, b in bounds))
     if kind is not None:
@@ -219,7 +229,7 @@ def _parse_objective(chk, raw):
         "linear-potential": ("kind", "alpha", "reference_temperature"),
         "mf-network-risk": ("kind", "dataset", "parameter_bound"),
     }
-    kind = raw.get("kind") if isinstance(raw, dict) else None
+    kind = raw.get("kind") if isinstance(raw, Mapping) else None
     if kind not in kinds:
         chk.fail(f"'objective.kind' must be one of {kinds} (got {kind!r})")
         chk.section(raw, "objective", ("kind",) + sum(keys_by_kind.values(), ()))
@@ -259,7 +269,7 @@ def _parse_sampler(chk, raw):
                        substeps=substeps, steps=steps or 0, particles=particles or 1)
 
 
-def _cross_checks(chk, domain, objective):
+def _cross_checks(chk, domain, objective, sampler):
     if objective.kind == "mean-match-barrier":
         if domain.kind != "simplex":
             chk.fail("mean-match-barrier requires the simplex domain")
@@ -273,25 +283,33 @@ def _cross_checks(chk, domain, objective):
                      f"!= domain ambient dimension {expect}")
     if objective.kind == "mf-network-risk" and domain.kind != "box":
         chk.fail("mf-network-risk requires a box domain over the network parameters")
+    if sampler.kind == "mfld" and domain.kind == "simplex" and (
+            (objective.kind == "mean-match-barrier" and (objective.beta or 0.0) > 0)
+            or any(a != 1.0 for a in objective.alpha or ())):
+        chk.fail(f"'sampler.kind' mfld leaves the simplex, where {objective.kind} "
+                 "needs strictly positive coordinates; use mmfld or projected-mfld")
 
 
 def parse_config(source) -> RunConfig:
-    """Parse and validate a config given as a file path or inline JSON text.
+    """Parse and validate a config given as a mapping, a file path or inline JSON text.
 
     Raises ``ConfigError`` whose ``errors`` list names every offending key
     with the expected type or range.
     """
-    text = str(source)
-    if not text.lstrip().startswith("{"):
-        path = Path(text)
-        if not path.exists():
-            raise ConfigError([f"config file not found: {path}"])
-        text = path.read_text()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
-    if not isinstance(raw, dict):
+    if isinstance(source, Mapping):
+        raw = source
+    else:
+        text = str(source)
+        if not text.lstrip().startswith("{"):
+            path = Path(text)
+            if not path.exists():
+                raise ConfigError([f"config file not found: {path}"])
+            text = path.read_text()
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
+    if not isinstance(raw, Mapping):
         raise ConfigError(["config must be a JSON object"])
 
     chk = _Checker()
@@ -302,7 +320,7 @@ def parse_config(source) -> RunConfig:
     domain = _parse_domain(chk, raw.get("domain", {}))
     objective = _parse_objective(chk, raw.get("objective", {}))
     sampler = _parse_sampler(chk, raw.get("sampler", {}))
-    _cross_checks(chk, domain, objective)
+    _cross_checks(chk, domain, objective, sampler)
 
     seed = chk.value(raw, "", "seed", int, default=0, minimum=0, maximum=MAX_SEED)
     out = chk.section(raw.get("output", {}), "output", ("dir", "dump_particles"))

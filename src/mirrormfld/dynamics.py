@@ -11,7 +11,7 @@ at the current ensemble:
 
 ``ambient_from_dual`` is interior-valued, so iterates never leave the
 domain; the particle positions themselves are never projected or clamped
-(dual increments are tamed, see ``SamplerConfig``).  The projected baseline
+(dual increments are tamed, see ``DUAL_STEP_CAP``).  The projected baseline
 instead works in ambient coordinates with isotropic noise and a Euclidean
 projection after every update; the plain ``mfld`` sampler is the same
 update without projection, for unconstrained sanity runs.
@@ -40,27 +40,25 @@ SAMPLERS = ("mmfld", "projected-mfld", "mfld")
 # blow up; they are nudged this far inside after each projection.
 PROJECTION_NUDGE = 1e-6
 
+# Bound on each component of the mirror sampler's dual drift and diffusion
+# increments (tamed Euler).  The unbounded update is not representable in
+# floating point: near a face the dual noise scale sqrt(2*lambda*eta/x)
+# explodes, and a single kick underflows the softmax onto the exact
+# boundary.  The cap binds only inside a boundary layer of thickness
+# O(eta) -- at the shipped step sizes bulk increments sit two orders of
+# magnitude below it -- so the discretization limit is unchanged.
+DUAL_STEP_CAP = 4.0
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Sampler selection and step parameters.
-
-    ``dual_step_cap`` bounds each component of the dual drift and diffusion
-    increments of the mirror sampler (tamed Euler).  The unbounded update is
-    not representable in floating point: near a face the dual noise scale
-    sqrt(2*lambda*eta/x) explodes, and a single kick underflows the softmax
-    onto the exact boundary.  The cap binds only inside a boundary layer of
-    thickness O(eta) -- at the shipped step sizes bulk increments sit two
-    orders of magnitude below it -- so the discretization limit is
-    unchanged.
-    """
+    """Sampler selection and step parameters."""
 
     sampler: str = "mmfld"
     eta: float = 1e-3
     temperature: float = 0.1
     substeps: int = 1
     steps: int = 0
-    dual_step_cap: float = 4.0
 
     def __post_init__(self):
         if self.sampler not in SAMPLERS:
@@ -69,8 +67,6 @@ class SamplerConfig:
             raise ValueError("eta and temperature must be nonnegative")
         if self.substeps < 1 or self.steps < 0:
             raise ValueError("substeps must be >= 1 and steps >= 0")
-        if not self.dual_step_cap > 0:
-            raise ValueError("dual_step_cap must be positive")
 
 
 @dataclass(frozen=True)
@@ -178,11 +174,11 @@ def _mirror_iteration(ensemble: ParticleEnsemble, mirror_map, objective,
 
     def update(lo, hi):
         grad = mirror_map.pullback(objective.potential_grad(ambient[lo:hi], stats))
-        drift = np.clip(-cfg.eta * grad, -cfg.dual_step_cap, cfg.dual_step_cap)
+        drift = np.clip(-cfg.eta * grad, -DUAL_STEP_CAP, DUAL_STEP_CAP)
         y = inner_diffusion(
             dual[lo:hi] + drift, mirror_map, cfg.temperature, cfg.eta, cfg.substeps,
             lambda s: rngstream.normal_block(seed, k, s, lo, hi, m),
-            step_cap=cfg.dual_step_cap)
+            step_cap=DUAL_STEP_CAP)
         out_dual[lo:hi] = y
         out_ambient[lo:hi] = mirror_map.ambient_from_dual(y)
 
@@ -257,9 +253,9 @@ def run_sampler(ensemble: ParticleEnsemble, mirror_map, objective, cfg: SamplerC
     back in continues the run exactly.  ``diagnostics(ensemble)`` is called
     on the initial state, at every ``every``-th iteration and on the final
     one (not at all for zero steps); its return values are collected in
-    order.  Step failures are re-raised as ``SamplerError`` with the
-    offending iteration attached.  The result is deterministic for fixed
-    (seed, N, steps, substeps, sampler) and any worker count.
+    order.  Step and diagnostics failures are re-raised as ``SamplerError``
+    with the offending iteration attached.  The result is deterministic for
+    fixed (seed, N, steps, substeps, sampler) and any worker count.
     """
     step = _mirror_iteration if cfg.sampler == "mmfld" else euclidean_step
     if cfg.sampler == "mmfld" and ensemble.dual is None:
@@ -276,15 +272,13 @@ def run_sampler(ensemble: ParticleEnsemble, mirror_map, objective, cfg: SamplerC
             rows.append(diagnostics(ensemble))
         last = ensemble.iteration + cfg.steps
         while ensemble.iteration < last:
-            k = ensemble.iteration
-            try:
-                ensemble = step(ensemble, mirror_map, objective, cfg,
-                                pool=pool, chunks=workers)
-            except Exception as exc:
-                raise SamplerError(k, str(exc)) from exc
+            ensemble = step(ensemble, mirror_map, objective, cfg, pool=pool, chunks=workers)
             done = ensemble.iteration
             if diagnostics is not None and (done % every == 0 or done == last):
                 rows.append(diagnostics(ensemble))
+    except Exception as exc:
+        # a failed step has not advanced the ensemble; a failed tick read it
+        raise SamplerError(ensemble.iteration, str(exc)) from exc
     finally:
         if pool is not None:
             pool.shutdown(wait=True)

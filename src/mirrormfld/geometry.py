@@ -15,10 +15,15 @@ Conventions
 -----------
 All operations take arrays whose last axis is the coordinate axis and
 broadcast over leading axes, so an ensemble of shape (N, m) is handled in
-one call.  ``forward`` is the gradient of the barrier (primal -> dual),
-``backward`` its inverse (dual -> primal, always interior-valued), and
-``metric`` returns the primal Hessian together with a Cholesky factor of
-``scale * H`` used as the diffusion factor of the dual-space noise.
+one call.  ``forward`` is the gradient of the barrier (primal -> dual) and
+``backward`` its inverse (dual -> primal, always interior-valued).
+
+Each map has one diffusion-factor primitive, a Cholesky factor L of
+``scale * H`` kept in its structured form: a diagonal for the box, a
+diagonal plus one constant sub-diagonal per column for the simplex.
+``diffusion_substep`` applies it matrix-free, in O(m) per particle.
+``metric`` and ``metric_from_dual`` return the dense (H, L) built from the
+same primitive; they serve tests and checks, not the sampler.
 
 Everything here is a pure function of its inputs; no coordination is
 needed between concurrent callers.
@@ -42,10 +47,21 @@ def _as_points(x, dim, what):
     return x
 
 
-def _diag_rank_one_chol(diag, bump, what):
-    """Cholesky factor of diag(diag) + bump * ones(m, m), batched.
+def _diag_matrix(d):
+    """Dense (..., m, m) matrix with d on the diagonal and zeros elsewhere."""
+    m = d.shape[-1]
+    out = np.zeros(d.shape + (m,))
+    idx = np.arange(m)
+    out[..., idx, idx] = d
+    return out
 
-    The pivot recursion for this structure is cancellation-free -- the
+
+def _diag_rank_one_factor(diag, bump, what):
+    """Cholesky factor of diag(diag) + bump * ones(m, m), batched, as (root, col).
+
+    Column k of the factor holds root[..., k] on the diagonal and the
+    constant col[..., k] everywhere below it; both are (..., m).  The pivot
+    recursion for this structure is cancellation-free -- the
     Schur-complement bump updates as bump * d_k / (d_k + bump), a positive
     product -- so the factorization succeeds whenever the inputs are
     positive and finite, even when the rank-one term dominates by hundreds
@@ -54,19 +70,27 @@ def _diag_rank_one_chol(diag, bump, what):
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(bump))):
         raise FactorizationError(f"{what}: non-finite Hessian entries (point at boundary?)")
     m = diag.shape[-1]
-    ell = np.zeros(diag.shape + (m,))
+    root = np.empty(diag.shape)
+    col = np.zeros(diag.shape)
     bump = np.broadcast_to(bump, diag.shape[:-1]).copy()
     for k in range(m):
         pivot = diag[..., k] + bump
         if not np.all(pivot > 0):
             raise FactorizationError(f"{what}: Hessian not numerically SPD")
-        root = np.sqrt(pivot)
-        ell[..., k, k] = root
+        root[..., k] = np.sqrt(pivot)
         if k + 1 < m:
             ratio = bump / pivot
-            ell[..., k + 1:, k] = (ratio * root)[..., None]
+            col[..., k] = ratio * root[..., k]
             bump = diag[..., k] * ratio
-    return ell
+    return root, col
+
+
+def _diag_root(d, scale):
+    """sqrt(scale * d), the diagonal factor of scale * diag(d)."""
+    sd = scale * d
+    if not np.all(np.isfinite(sd)):
+        raise FactorizationError("box metric: non-finite Hessian entries (point at boundary?)")
+    return np.sqrt(sd)
 
 
 @dataclass(frozen=True)
@@ -74,21 +98,16 @@ class SimplexEntropyMap:
     """Entropy barrier on the unit simplex in reduced coordinates.
 
     ``ambient_dim`` is the number of simplex coordinates d; the intrinsic
-    dimension is m = d - 1.  Operations accept the true open domain (every
-    ambient coordinate, including the pinned last one, strictly positive);
-    ``interior_margin`` is the default margin of the ``contains`` check used
-    for input validation at the harness level.
+    dimension is m = d - 1.  Operations accept the true open domain: every
+    ambient coordinate, including the pinned last one, strictly positive.
     """
 
     ambient_dim: int
-    interior_margin: float = 1e-12
     kind: str = field(default="simplex-entropy", init=False)
 
     def __post_init__(self):
         if self.ambient_dim < 2:
             raise ConfigError("simplex ambient dimension must be at least 2")
-        if not 0.0 < self.interior_margin < 1.0 / self.ambient_dim:
-            raise ConfigError("interior_margin must lie in (0, 1/ambient_dim)")
 
     @property
     def intrinsic_dim(self) -> int:
@@ -100,15 +119,7 @@ class SimplexEntropyMap:
         x = _as_points(x, self.intrinsic_dim, "primal point")
         return 1.0 - np.sum(x, axis=-1)
 
-    def contains(self, x: Array, margin: float | None = None) -> Array:
-        """Boolean interiority test, broadcast over leading axes."""
-        x = _as_points(x, self.intrinsic_dim, "primal point")
-        margin = self.interior_margin if margin is None else margin
-        return (np.min(x, axis=-1) >= margin) & (self.last_coordinate(x) >= margin)
-
     def require_interior(self, x: Array, what: str = "point") -> Array:
-        # operations only need the true open domain; interior_margin is a
-        # harness-level validation knob, not an operational clamp
         x = _as_points(x, self.intrinsic_dim, what)
         worst = float(min(np.min(x), np.min(self.last_coordinate(x))))
         if not worst > 0.0:
@@ -164,49 +175,40 @@ class SimplexEntropyMap:
     def hessian(self, x: Array) -> Array:
         """Reduced Hessian diag(1/x_c) + (1/x_d) 11^T, shape (..., m, m)."""
         x = self.require_interior(x, "hessian input")
-        m = self.intrinsic_dim
-        h = np.zeros(x.shape[:-1] + (m, m))
-        idx = np.arange(m)
-        h[..., idx, idx] = 1.0 / x
-        h += (1.0 / self.last_coordinate(x))[..., None, None]
-        return h
+        return _diag_matrix(1.0 / x) + (1.0 / self.last_coordinate(x))[..., None, None]
 
     def inverse_hessian(self, x: Array) -> Array:
         """Closed-form inverse diag(x) - x x^T (the dual Hessian at forward(x))."""
         x = self.require_interior(x, "inverse_hessian input")
-        m = self.intrinsic_dim
-        h = -x[..., :, None] * x[..., None, :]
-        idx = np.arange(m)
-        h[..., idx, idx] += x
-        return h
+        return _diag_matrix(x) - x[..., :, None] * x[..., None, :]
 
     def dual_hessian(self, y: Array) -> Array:
         return self.inverse_hessian(self.backward(y))
 
-    def _metric_from_parts(self, diag: Array, bump: Array, scale: float):
-        m = self.intrinsic_dim
-        h = np.zeros(diag.shape[:-1] + (m, m))
-        idx = np.arange(m)
-        h[..., idx, idx] = diag
-        h += bump[..., None, None]
+    @staticmethod
+    def _factor(ambient: Array, scale: float) -> tuple[Array, Array]:
+        """The (root, col) factor of scale * H at the ambient point."""
+        return _diag_rank_one_factor(scale / ambient[..., :-1], scale / ambient[..., -1],
+                                     "simplex metric")
+
+    def _metric_from_ambient(self, ambient: Array, scale: float) -> tuple[Array, Array]:
+        if scale < 0:
+            raise ValueError("metric scale must be nonnegative")
+        h = _diag_matrix(1.0 / ambient[..., :-1]) + (1.0 / ambient[..., -1])[..., None, None]
         if scale == 0.0:
             return h, np.zeros_like(h)
-        return h, _diag_rank_one_chol(scale * diag, scale * bump, "simplex metric")
+        root, col = self._factor(ambient, scale)
+        below = np.broadcast_to(col[..., None, :], h.shape)
+        return h, np.tril(below, -1) + _diag_matrix(root)
 
     def metric(self, x: Array, scale: float) -> tuple[Array, Array]:
         """Return (H, L) with H the Hessian and L L^T = scale * H exactly."""
-        if scale < 0:
-            raise ValueError("metric scale must be nonnegative")
         x = self.require_interior(x, "metric input")
-        return self._metric_from_parts(1.0 / x, 1.0 / self.last_coordinate(x), scale)
+        return self._metric_from_ambient(self.embed(x), scale)
 
     def metric_from_dual(self, y: Array, scale: float) -> tuple[Array, Array]:
-        """metric(backward(y), scale) assembled from the stable ambient view."""
-        if scale < 0:
-            raise ValueError("metric scale must be nonnegative")
-        ambient = self.ambient_from_dual(y)
-        return self._metric_from_parts(1.0 / ambient[..., :-1], 1.0 / ambient[..., -1],
-                                       scale)
+        """metric(backward(y), scale), from the factor ``diffusion_substep`` applies."""
+        return self._metric_from_ambient(self.ambient_from_dual(y), scale)
 
     def diffusion_substep(self, y: Array, scale: float, xi: Array,
                           step_cap: float | None = None) -> Array:
@@ -230,9 +232,15 @@ class SimplexEntropyMap:
         y = np.atleast_2d(y)
         xi = np.atleast_2d(np.asarray(xi, dtype=np.float64))
         ambient = self.ambient_from_dual(y)
-        ell = _diag_rank_one_chol(scale / ambient[..., :-1],
-                                  scale / ambient[..., -1], "simplex metric")
-        kick = np.einsum("...ij,...j->...i", ell, xi)
+        root, col = self._factor(ambient, scale)
+        # L xi in O(m): column k of L is constant below its diagonal, so row k
+        # adds the running sum of col * xi over earlier columns (a shifted
+        # cumsum; np.cumsum along a short last axis is slower than this loop)
+        kick = root * xi
+        running = np.zeros(y.shape[0])
+        for k in range(1, self.intrinsic_dim):
+            running += col[:, k - 1] * xi[:, k - 1]
+            kick[:, k] += running
         if step_cap is None:
             out = y + kick
             return out[0] if single else out
@@ -272,7 +280,6 @@ class BoxLogBarrierMap:
     """Coordinate-wise log barrier on the open box prod_c (a_c, b_c)."""
 
     bounds: tuple
-    interior_margin: float = 1e-12
     kind: str = field(default="box-log-barrier", init=False)
 
     def __post_init__(self):
@@ -281,8 +288,6 @@ class BoxLogBarrierMap:
             raise ConfigError("box bounds must be a sequence of (a, b) pairs")
         if not np.all(arr[:, 0] < arr[:, 1]):
             raise ConfigError("box bounds require a_c < b_c for every coordinate")
-        if self.interior_margin <= 0 or 2 * self.interior_margin >= float(np.min(arr[:, 1] - arr[:, 0])):
-            raise ConfigError("interior_margin must be positive and smaller than half the box width")
         object.__setattr__(self, "bounds", tuple(map(tuple, arr)))
         object.__setattr__(self, "_lo", arr[:, 0])
         object.__setattr__(self, "_hi", arr[:, 1])
@@ -304,11 +309,6 @@ class BoxLogBarrierMap:
         return self._hi
 
     # -- domain --------------------------------------------------------
-
-    def contains(self, x: Array, margin: float | None = None) -> Array:
-        x = _as_points(x, self.intrinsic_dim, "primal point")
-        margin = self.interior_margin if margin is None else margin
-        return np.all((x - self._lo >= margin) & (self._hi - x >= margin), axis=-1)
 
     def require_interior(self, x: Array, what: str = "point") -> Array:
         x = _as_points(x, self.intrinsic_dim, what)
@@ -370,49 +370,33 @@ class BoxLogBarrierMap:
         return 1.0 / (x - self._lo) ** 2 + 1.0 / (self._hi - x) ** 2
 
     def hessian(self, x: Array) -> Array:
-        d = self.hessian_diagonal(x)
-        m = self.intrinsic_dim
-        h = np.zeros(d.shape[:-1] + (m, m))
-        idx = np.arange(m)
-        h[..., idx, idx] = d
-        return h
+        return _diag_matrix(self.hessian_diagonal(x))
 
     def inverse_hessian(self, x: Array) -> Array:
-        d = 1.0 / self.hessian_diagonal(x)
-        m = self.intrinsic_dim
-        h = np.zeros(d.shape[:-1] + (m, m))
-        idx = np.arange(m)
-        h[..., idx, idx] = d
-        return h
+        return _diag_matrix(1.0 / self.hessian_diagonal(x))
 
     def dual_hessian(self, y: Array) -> Array:
         return self.inverse_hessian(self.backward(y))
 
-    def _metric_from_diagonal(self, d: Array, scale: float) -> tuple[Array, Array]:
-        m = self.intrinsic_dim
-        idx = np.arange(m)
-        h = np.zeros(d.shape[:-1] + (m, m))
-        h[..., idx, idx] = d
-        if scale == 0.0:
-            return h, np.zeros_like(h)
-        sd = scale * d
-        if not np.all(np.isfinite(sd)):
-            raise FactorizationError("box metric: non-finite Hessian entries (point at boundary?)")
-        ell = np.zeros_like(h)
-        ell[..., idx, idx] = np.sqrt(sd)
-        return h, ell
+    def _hessian_diagonal_from_dual(self, y: Array) -> Array:
+        """hessian_diagonal(backward(y)), with wall gaps taken stably from y."""
+        lo_gap, hi_gap = self._wall_gaps(y)
+        return 1.0 / lo_gap ** 2 + 1.0 / hi_gap ** 2
 
-    def metric(self, x: Array, scale: float) -> tuple[Array, Array]:
+    def _metric_from_diagonal(self, d: Array, scale: float) -> tuple[Array, Array]:
         if scale < 0:
             raise ValueError("metric scale must be nonnegative")
+        h = _diag_matrix(d)
+        if scale == 0.0:
+            return h, np.zeros_like(h)
+        return h, _diag_matrix(_diag_root(d, scale))
+
+    def metric(self, x: Array, scale: float) -> tuple[Array, Array]:
         return self._metric_from_diagonal(self.hessian_diagonal(x), scale)
 
     def metric_from_dual(self, y: Array, scale: float) -> tuple[Array, Array]:
-        """metric(backward(y), scale) with wall gaps taken stably from y."""
-        if scale < 0:
-            raise ValueError("metric scale must be nonnegative")
-        lo_gap, hi_gap = self._wall_gaps(y)
-        return self._metric_from_diagonal(1.0 / lo_gap ** 2 + 1.0 / hi_gap ** 2, scale)
+        """metric(backward(y), scale), from the factor ``diffusion_substep`` applies."""
+        return self._metric_from_diagonal(self._hessian_diagonal_from_dual(y), scale)
 
     def diffusion_substep(self, y: Array, scale: float, xi: Array,
                           step_cap: float | None = None) -> Array:
@@ -422,8 +406,7 @@ class BoxLogBarrierMap:
         wall region is a log-scale random walk with bounded increments and
         inward drift, so capped Euler steps already track it faithfully.
         """
-        _, ell = self.metric_from_dual(y, scale)
-        kick = np.einsum("...ij,...j->...i", ell, np.asarray(xi, dtype=np.float64))
+        kick = _diag_root(self._hessian_diagonal_from_dual(y), scale) * xi
         if step_cap is not None:
             kick = np.clip(kick, -step_cap, step_cap)
         return y + kick
@@ -451,17 +434,16 @@ class BoxLogBarrierMap:
 MirrorMap = SimplexEntropyMap | BoxLogBarrierMap
 
 
-def make_mirror_map(kind: str, *, ambient_dim: int | None = None, bounds=None,
-                    interior_margin: float = 1e-12) -> MirrorMap:
+def make_mirror_map(kind: str, *, ambient_dim: int | None = None, bounds=None) -> MirrorMap:
     """Construct one of the shipped mirror maps from plain parameters."""
     if kind == "simplex-entropy":
         if ambient_dim is None:
             raise ConfigError("simplex-entropy map needs ambient_dim")
-        return SimplexEntropyMap(ambient_dim=ambient_dim, interior_margin=interior_margin)
+        return SimplexEntropyMap(ambient_dim=ambient_dim)
     if kind == "box-log-barrier":
         if bounds is None:
             raise ConfigError("box-log-barrier map needs bounds")
-        return BoxLogBarrierMap(bounds=tuple(map(tuple, bounds)), interior_margin=interior_margin)
+        return BoxLogBarrierMap(bounds=tuple(map(tuple, bounds)))
     raise ConfigError(f"unknown mirror map kind {kind!r}")
 
 

@@ -55,6 +55,46 @@ def test_round_trip_idempotent():
     assert again.serialize() == cfg.serialize()
 
 
+def test_mapping_parses_like_its_json_text():
+    for raw in (minimal_raw(), figure1_config(beta=1e-4), dirichlet_config()):
+        assert parse_config(raw) == parse_config(json.dumps(raw))
+
+
+@pytest.mark.parametrize("key, value", [
+    (("sampler", "eta"), float("nan")),
+    (("sampler", "lambda"), float("inf")),
+    (("objective", "q"), [float("nan"), 0.5, 0.5]),
+    (("diagnostics", "boundary_epsilon"), float("inf")),
+    (("domain", "bounds"), [[0.0, float("inf")], [-1.0, 1.0]]),
+])
+def test_non_finite_number_names_key(key, value):
+    raw = minimal_raw(diagnostics={})
+    if key == ("domain", "bounds"):
+        raw["domain"] = {"kind": "box", "bounds": value}
+        raw["objective"] = {"kind": "linear-potential", "alpha": [2.0, 2.0],
+                            "reference_temperature": 0.1}
+    else:
+        raw[key[0]][key[1]] = value
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(raw))
+    assert any(".".join(key) in e and "finite" in e for e in err.value.errors)
+
+
+def test_mfld_rejected_where_objective_needs_positive_coordinates():
+    barrier = figure1_config(beta=1e-4, sampler="mfld")
+    dirichlet = dirichlet_config()
+    dirichlet["sampler"]["kind"] = "mfld"
+    for raw in (barrier, dirichlet):
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert any("sampler.kind" in e for e in err.value.errors)
+    # without a barrier the unconstrained sampler stays available
+    assert parse_config(figure1_config(beta=0.0, sampler="mfld")).sampler.kind == "mfld"
+    flat = dirichlet_config(alpha=(1.0, 1.0, 1.0))
+    flat["sampler"]["kind"] = "mfld"
+    assert parse_config(flat).sampler.kind == "mfld"
+
+
 def test_range_error_names_key():
     raw = minimal_raw()
     raw["sampler"]["eta"] = -1

@@ -324,6 +324,20 @@ def test_sampler_error_carries_iteration(simplex3):
     assert err.value.iteration == 0
 
 
+def test_diagnostics_failure_carries_tick_iteration(simplex3):
+    def diagnostics(ens):
+        if ens.iteration == 4:
+            raise ValueError("bad tick")
+        return ens.iteration
+
+    ens = initial_ensemble(simplex3, 4, seed=0)
+    cfg = SamplerConfig(sampler="mmfld", eta=1e-3, temperature=0.1, steps=6)
+    with pytest.raises(SamplerError, match="bad tick") as err:
+        run_sampler(ens, simplex3, MeanMatchBarrier(target=Q, beta=0.0), cfg,
+                    diagnostics=diagnostics, every=2)
+    assert err.value.iteration == 4
+
+
 def test_mfld_sampler_unconstrained(rng):
     # plain MFLD: no projection, Gaussian stationary check on a quadratic-free
     # potential would need drift; here just verify it runs and moves freely
@@ -362,5 +376,3 @@ def test_config_validation():
         SamplerConfig(eta=-1.0)
     with pytest.raises(ValueError):
         SamplerConfig(substeps=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(dual_step_cap=0.0)

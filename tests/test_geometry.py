@@ -190,6 +190,42 @@ def test_rank_one_cholesky_survives_extreme_conditioning(simplex3):
     assert np.allclose(prod, 6e-4 * h, rtol=1e-10)
 
 
+# -- matrix-free kicks against the dense factor -------------------------------
+
+def _dense_kick(mm, y, scale, xi):
+    _, ell = mm.metric_from_dual(y, scale)
+    return ell, np.einsum("...ij,...j->...i", ell, xi)
+
+
+@pytest.mark.parametrize("dim", [3, 10, 50])
+def test_simplex_kick_matches_dense_factor(dim, rng):
+    # bulk duals plus near-face ones: pinned coordinate ~1e-20 and a
+    # coordinate ~e^-300 whose Hessian entry is ~1e130
+    m = dim - 1
+    y = rng.uniform(-20, 20, size=(300, m))
+    y[0] = 46.0 - np.arange(m)
+    y[1] = -300.0
+    y[2, 0] = -300.0
+    xi = rng.standard_normal(y.shape)
+    mm = SimplexEntropyMap(ambient_dim=dim)
+    ell, dense = _dense_kick(mm, y, 6e-4, xi)
+    got = mm.diffusion_substep(y, 6e-4, xi)
+    if dim == 3:
+        assert np.array_equal(got, y + dense)
+    else:
+        size = np.abs(y) + np.einsum("...ij,...j->...i", np.abs(ell), np.abs(xi))
+        assert np.max(np.abs(got - (y + dense)) / size) <= 1e-12
+
+
+def test_box_kick_matches_dense_factor_bit_for_bit(box2, rng):
+    y = rng.uniform(-1e3, 1e3, size=(500, 2))
+    xi = rng.standard_normal(y.shape)
+    _, dense = _dense_kick(box2, y, 6e-4, xi)
+    assert np.array_equal(box2.diffusion_substep(y, 6e-4, xi), y + dense)
+    assert np.array_equal(box2.diffusion_substep(y, 6e-4, xi, step_cap=4.0),
+                          y + np.clip(dense, -4.0, 4.0))
+
+
 # -- errors -------------------------------------------------------------------
 
 def test_forward_rejects_boundary_points(simplex3, unit_box):
