@@ -83,6 +83,10 @@ class ParticleEnsemble:
     seed: int = 0
     protocol: str = field(default=rngstream.PROTOCOL)
     dual: Array | None = None
+    # (objective, record) pairs memoised by ``evaluation``: derived data, so
+    # outside ==, repr and ``replace``, which starts a new ensemble empty
+    _evaluations: list = field(default_factory=list, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -90,9 +94,19 @@ class ParticleEnsemble:
             raise ValueError("points must be a nonempty (N, dim) array")
         object.__setattr__(self, "points", pts)
 
-    @property
-    def n_particles(self) -> int:
-        return self.points.shape[0]
+    def evaluation(self, objective):
+        """The objective's evaluation record of ``points``, built on first use.
+
+        The step and the diagnostics tick of one iteration read the same
+        record, so each ensemble is evaluated at most once per objective
+        (matched by identity).
+        """
+        for known, record in self._evaluations:
+            if known is objective:
+                return record
+        record = objective.stats(self.points)
+        self._evaluations.append((objective, record))
+        return record
 
 
 def initial_ensemble(mirror_map, n: int, seed: int, *, ambient=None) -> ParticleEnsemble:
@@ -160,20 +174,21 @@ def _mirror_iteration(ensemble: ParticleEnsemble, mirror_map, objective,
                       cfg: SamplerConfig, *, pool=None, chunks: int = 1) -> ParticleEnsemble:
     """One synchronous mirror iteration carried entirely in dual coordinates.
 
-    Statistics are frozen at the incoming ensemble; every particle reads
-    the same snapshot.  The carried dual state is never rebuilt from primal
+    Statistics are frozen at the incoming ensemble; every chunk reads row
+    slices of its one evaluation record, which a diagnostics tick on the
+    same ensemble shares.  The carried dual state is never rebuilt from primal
     floats, a lossy round trip that bottoms out at machine epsilon near a
     face, so particles are tracked within any positive distance of it.
     """
     dual, ambient = ensemble.dual, ensemble.points
     n, m = dual.shape
     seed, k = ensemble.seed, ensemble.iteration
-    stats = objective.stats(ambient)
+    record = ensemble.evaluation(objective)
     out_dual = np.empty_like(dual)
     out_ambient = np.empty_like(ambient)
 
     def update(lo, hi):
-        grad = mirror_map.pullback(objective.potential_grad(ambient[lo:hi], stats))
+        grad = mirror_map.pullback(objective.potential_grad(record.rows(lo, hi)))
         drift = np.clip(-cfg.eta * grad, -DUAL_STEP_CAP, DUAL_STEP_CAP)
         y = inner_diffusion(
             dual[lo:hi] + drift, mirror_map, cfg.temperature, cfg.eta, cfg.substeps,
@@ -226,14 +241,14 @@ def euclidean_step(ensemble: ParticleEnsemble, mirror_map, objective, cfg: Sampl
     """
     pts = ensemble.points
     n, d = pts.shape
-    stats = objective.stats(pts)
+    record = ensemble.evaluation(objective)
     k, seed = ensemble.iteration, ensemble.seed
     noise_scale = np.sqrt(2.0 * cfg.temperature * cfg.eta)
     project = cfg.sampler == "projected-mfld"
     out = np.empty_like(pts)
 
     def update(lo, hi):
-        x = pts[lo:hi] - cfg.eta * objective.potential_grad(pts[lo:hi], stats)
+        x = pts[lo:hi] - cfg.eta * objective.potential_grad(record.rows(lo, hi))
         if noise_scale > 0.0:
             x = x + noise_scale * rngstream.normal_block(seed, k, 0, lo, hi, d)
         out[lo:hi] = _project_ambient(x, mirror_map) if project else x

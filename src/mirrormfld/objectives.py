@@ -7,19 +7,27 @@ objectives see all d = m + 1 coordinates, the box objectives see the raw
 parameter vector.  The dynamics converts to intrinsic coordinates through
 the mirror map's pullback.
 
-The common surface, duck-typed across the three kinds:
+The common surface, duck-typed across the three kinds, runs through one
+``Evaluation`` record per weighted cloud:
 
 ``stats(ambient, weights=None)``
-    Sufficient statistics of the weighted cloud (recomputed from scratch
-    each call; a single pass).
-``value(ambient, stats, weights=None)``
+    Evaluate the cloud once: its sufficient statistics plus the per-point
+    intermediates that the value and the gradient share (the network's tanh
+    activations), after one positivity scan where the objective needs
+    strictly positive coordinates.  Returns the ``Evaluation``.
+``value(record)``
     F of the weighted empirical measure.
-``potential(ambient, stats)``
+``potential(record, ambient=None)``
     The first variation dF/dmu as a scalar per point, up to its additive
-    constant.
-``potential_grad(ambient, stats)``
-    Ambient gradient of the first variation per point; the per-particle
-    drift up to the mirror pullback.
+    constant, at the record's own points or at ``ambient``.
+``potential_grad(record, ambient=None)``
+    Ambient gradient of the first variation per point, at the record's own
+    points or at ``ambient``; the per-particle drift up to the mirror
+    pullback.
+
+Points other than the record's own go through the same formulas; they are
+scanned for positivity on each call.  A sampler chunk reads
+``record.rows(lo, hi)``.
 """
 from __future__ import annotations
 
@@ -46,6 +54,43 @@ def _weights(n, weights):
 def _require_positive(ambient, what):
     if np.min(ambient) <= 0.0:
         raise DomainViolationError(f"{what} requires strictly positive coordinates")
+
+
+def _points(record, ambient, scan):
+    """The evaluation points: the record's own, scanned when it was built,
+    or ``ambient``, scanned now."""
+    if ambient is None:
+        return record.ambient
+    scan(ambient)
+    return ambient
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """One objective's evaluation of a weighted point cloud.
+
+    ``weights`` is ``None`` for equal weights (an ensemble), so a memoised
+    record holds no (N,) weight array.  ``stats`` is the objective's
+    statistic of the whole cloud; ``per_point`` holds per-row intermediates
+    shared by the value and the gradient, or ``None``.  Built by the
+    objective's ``stats``.
+    """
+
+    ambient: Array
+    weights: Array | None
+    stats: object
+    per_point: Array | None = None
+
+    @property
+    def weight_vector(self) -> Array:
+        return _weights(self.ambient.shape[0], self.weights)
+
+    def rows(self, lo: int, hi: int) -> Evaluation:
+        """Rows lo:hi of the record, for per-point reads such as a chunk's
+        gradient; the statistic stays the whole cloud's."""
+        return Evaluation(self.ambient[lo:hi],
+                          None if self.weights is None else self.weights[lo:hi], self.stats,
+                          None if self.per_point is None else self.per_point[lo:hi])
 
 
 @dataclass(frozen=True)
@@ -76,23 +121,26 @@ class LinearPotential:
     def ambient_dim(self) -> int:
         return len(self.alpha)
 
-    def stats(self, ambient: Array, weights=None):
-        return None
-
-    def potential(self, ambient: Array, stats=None) -> Array:
+    def _scan(self, ambient: Array) -> None:
         if np.any(self._coef != 0.0):
             _require_positive(ambient, "linear potential")
+
+    def stats(self, ambient: Array, weights=None) -> Evaluation:
+        """No statistic: F is linear in mu."""
+        self._scan(ambient)
+        return Evaluation(ambient, weights, None)
+
+    def potential(self, record: Evaluation, ambient: Array | None = None) -> Array:
+        ambient = _points(record, ambient, self._scan)
         with np.errstate(divide="ignore"):
             logs = np.where(self._coef == 0.0, 0.0, np.log(ambient))
         return -logs @ self._coef
 
-    def value(self, ambient: Array, stats=None, weights=None) -> float:
-        w = _weights(ambient.shape[0], weights)
-        return float(w @ self.potential(ambient))
+    def value(self, record: Evaluation) -> float:
+        return float(record.weight_vector @ self.potential(record))
 
-    def potential_grad(self, ambient: Array, stats=None) -> Array:
-        if np.any(self._coef != 0.0):
-            _require_positive(ambient, "linear potential gradient")
+    def potential_grad(self, record: Evaluation, ambient: Array | None = None) -> Array:
+        ambient = _points(record, ambient, self._scan)
         with np.errstate(divide="ignore"):
             inv = np.where(self._coef == 0.0, 0.0, 1.0 / ambient)
         return -self._coef * inv
@@ -125,31 +173,34 @@ class MeanMatchBarrier:
     def ambient_dim(self) -> int:
         return len(self.target)
 
-    def stats(self, ambient: Array, weights=None) -> Array:
-        """Weighted ambient mean of the cloud."""
-        w = _weights(ambient.shape[0], weights)
-        return w @ ambient
+    def _scan(self, ambient: Array) -> None:
+        if self.beta > 0.0:
+            _require_positive(ambient, "barrier term")
 
-    def value(self, ambient: Array, stats: Array, weights=None) -> float:
-        diff = stats - self._q
+    def stats(self, ambient: Array, weights=None) -> Evaluation:
+        """Statistic: the weighted ambient mean of the cloud."""
+        self._scan(ambient)
+        return Evaluation(ambient, weights, _weights(ambient.shape[0], weights) @ ambient)
+
+    def value(self, record: Evaluation) -> float:
+        diff = record.stats - self._q
         out = float(diff @ diff)
         if self.beta > 0.0:
-            _require_positive(ambient, "barrier term")
-            w = _weights(ambient.shape[0], weights)
-            out -= self.beta * float(w @ np.sum(np.log(ambient), axis=-1))
+            out -= self.beta * float(record.weight_vector
+                                     @ np.sum(np.log(record.ambient), axis=-1))
         return out
 
-    def potential(self, ambient: Array, stats: Array) -> Array:
-        g = 2.0 * ambient @ (stats - self._q)
+    def potential(self, record: Evaluation, ambient: Array | None = None) -> Array:
+        ambient = _points(record, ambient, self._scan)
+        g = 2.0 * ambient @ (record.stats - self._q)
         if self.beta > 0.0:
-            _require_positive(ambient, "barrier term")
             g = g - self.beta * np.sum(np.log(ambient), axis=-1)
         return g
 
-    def potential_grad(self, ambient: Array, stats: Array) -> Array:
-        g = np.broadcast_to(2.0 * (stats - self._q), ambient.shape).copy()
+    def potential_grad(self, record: Evaluation, ambient: Array | None = None) -> Array:
+        ambient = _points(record, ambient, self._scan)
+        g = np.broadcast_to(2.0 * (record.stats - self._q), ambient.shape).copy()
         if self.beta > 0.0:
-            _require_positive(ambient, "barrier gradient")
             g -= self.beta / ambient
         return g
 
@@ -189,31 +240,39 @@ class NetworkRisk:
 
     def neuron_outputs(self, ambient: Array) -> Array:
         """tanh activations, shape (N, n)."""
-        return np.tanh(ambient[..., :-1] @ self.features.T + ambient[..., -1:])
+        # in place: each fresh (N, n) temporary costs as much as the tanh
+        z = ambient[..., :-1] @ self.features.T
+        z += ambient[..., -1:]
+        return np.tanh(z, out=z)
 
-    def stats(self, ambient: Array, weights=None) -> Array:
-        """Model predictions h_mu(z_j) for all j."""
+    def _activations(self, record: Evaluation, ambient: Array | None) -> Array:
+        return record.per_point if ambient is None else self.neuron_outputs(ambient)
+
+    def stats(self, ambient: Array, weights=None) -> Evaluation:
+        """Statistic: the model predictions h_mu(z_j) for all j; per point:
+        the activations."""
         w = _weights(ambient.shape[0], weights)
-        return w @ self.neuron_outputs(ambient)
+        act = self.neuron_outputs(ambient)
+        return Evaluation(ambient, weights, w @ act, act)
 
-    def value(self, ambient: Array, stats: Array, weights=None) -> float:
-        resid = stats - self.labels
+    def value(self, record: Evaluation) -> float:
+        resid = record.stats - self.labels
         return float(resid @ resid) / (2.0 * self.n_examples)
 
-    def potential(self, ambient: Array, stats: Array) -> Array:
-        resid = (stats - self.labels) / self.n_examples
-        return self.neuron_outputs(ambient) @ resid
+    def potential(self, record: Evaluation, ambient: Array | None = None) -> Array:
+        resid = (record.stats - self.labels) / self.n_examples
+        return self._activations(record, ambient) @ resid
 
-    def potential_grad(self, ambient: Array, stats: Array) -> Array:
-        act = self.neuron_outputs(ambient)
-        resid = (stats - self.labels) / self.n_examples
-        scale = (1.0 - act * act) * resid          # (N, n)
+    def potential_grad(self, record: Evaluation, ambient: Array | None = None) -> Array:
+        act = self._activations(record, ambient)
+        resid = (record.stats - self.labels) / self.n_examples
+        # scale = (1 - act^2) * resid, (N, n), built in place as in neuron_outputs
+        scale = act * act
+        np.subtract(1.0, scale, out=scale)
+        scale *= resid
         grad_w = scale @ self.features             # (N, p)
         grad_b = np.sum(scale, axis=-1, keepdims=True)
         return np.concatenate([grad_w, grad_b], axis=-1)
-
-
-MeanFieldObjective = LinearPotential | MeanMatchBarrier | NetworkRisk
 
 
 def load_dataset(path) -> tuple[Array, Array]:
@@ -247,22 +306,22 @@ def load_dataset(path) -> tuple[Array, Array]:
 
 def ensemble_stats(objective, points: Array, mirror_map):
     """Statistics of an intrinsic-coordinate ensemble (embeds first)."""
-    return objective.stats(mirror_map.embed(points))
+    return objective.stats(mirror_map.embed(points)).stats
 
 
 def objective_value(objective, points: Array, mirror_map) -> float:
-    ambient = mirror_map.embed(points)
-    return objective.value(ambient, objective.stats(ambient))
+    return objective.value(objective.stats(mirror_map.embed(points)))
 
 
-def first_variation_grad(objective, x: Array, stats, mirror_map) -> Array:
+def first_variation_grad(objective, x: Array, record: Evaluation, mirror_map) -> Array:
     """Intrinsic-coordinate gradient of the first variation at x.
 
-    x may be a single intrinsic point (m,) or a stack (..., m); stats must
-    be current for the ensemble that defines the empirical measure.
+    x may be a single intrinsic point (m,) or a stack (..., m); ``record``
+    must be the evaluation of the ensemble that defines the empirical
+    measure.
     """
     ambient = mirror_map.embed(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    g = mirror_map.pullback(objective.potential_grad(ambient, stats))
+    g = mirror_map.pullback(objective.potential_grad(record, ambient))
     return g[0] if np.asarray(x).ndim == 1 else g.reshape(np.shape(x))
 
 

@@ -46,10 +46,6 @@ class SimplexGrid:
     def intrinsic(self) -> Array:
         return self.nodes[:, :2]
 
-    @property
-    def spacing(self) -> float:
-        return 1.0 / self.resolution
-
 
 @dataclass(frozen=True)
 class GridMeasure:
@@ -133,8 +129,7 @@ def _check_grid_objective(objective):
 def node_potential(grid: SimplexGrid, objective, mu: GridMeasure) -> Array:
     """First variation dF/dmu at every node, for the measure mu."""
     _check_grid_objective(objective)
-    stats = objective.stats(grid.nodes, mu.weights)
-    return objective.potential(grid.nodes, stats)
+    return objective.potential(objective.stats(grid.nodes, mu.weights))
 
 
 def proximal_gibbs(grid: SimplexGrid, objective, mu: GridMeasure,
@@ -211,8 +206,7 @@ def grid_functionals(grid: SimplexGrid, objective, mu: GridMeasure,
                      temperature: float) -> GridFunctionals:
     _check_grid_objective(objective)
     w = mu.weights
-    stats = objective.stats(grid.nodes, w)
-    value = objective.value(grid.nodes, stats, w)
+    value = objective.value(objective.stats(grid.nodes, w))
     pos = w > 0
     entropy = float(w[pos] @ np.log(w[pos] / grid.volumes[pos]))
     mean = w @ grid.nodes

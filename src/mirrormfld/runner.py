@@ -50,24 +50,35 @@ def boundary_fraction(ambient: Array, mirror_map, epsilon: float) -> float:
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if mirror_map.kind == "simplex-entropy":
-        dist = np.min(ambient, axis=-1)
+        dist = _row_min(ambient)
     else:
-        dist = np.min(np.minimum(ambient - mirror_map.lower,
-                                 mirror_map.upper - ambient), axis=-1)
+        dist = _row_min(np.minimum(ambient - mirror_map.lower, mirror_map.upper - ambient))
     return float(np.mean(dist < epsilon))
 
 
+def _row_min(a: Array) -> Array:
+    """``np.min(a, axis=-1)`` as a running minimum over the columns, which is
+    faster along a short last axis; bit-identical, NaN included."""
+    out = a[:, 0]
+    for c in range(1, a.shape[1]):
+        out = np.minimum(out, a[:, c])
+    return out
+
+
 def metrics_recorder(mirror_map, objective, epsilon: float):
-    """Build the per-iteration diagnostics callback used by ``run_sampler``."""
+    """Build the per-iteration diagnostics callback used by ``run_sampler``.
+
+    The objective value reads the ensemble's evaluation record, which the
+    step from that ensemble shares.
+    """
     clock = time.perf_counter
     start = clock()
 
     def record(ensemble: ParticleEnsemble) -> MetricsRow:
         ambient = ensemble.points
-        stats = objective.stats(ambient)
         return MetricsRow(
             iteration=ensemble.iteration,
-            objective_value=objective.value(ambient, stats),
+            objective_value=objective.value(ensemble.evaluation(objective)),
             boundary_fraction=boundary_fraction(ambient, mirror_map, epsilon),
             mean=tuple(float(v) for v in np.mean(ambient, axis=0)),
             coord_min=float(np.min(ambient)),

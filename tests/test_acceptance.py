@@ -297,7 +297,7 @@ def test_criterion_08_propagation_of_chaos():
         tail = []
         def diag(e):
             if e.iteration > 1000:
-                tail.append(net.value(e.points, net.stats(e.points)))
+                tail.append(net.value(e.evaluation(net)))
         run_sampler(ens, box, net, cfg, diagnostics=diag, every=1)
         return float(np.mean(tail))
 

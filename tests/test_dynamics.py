@@ -13,7 +13,7 @@ from mirrormfld.dynamics import (
     run_sampler,
 )
 from mirrormfld.errors import SamplerError
-from mirrormfld.objectives import LinearPotential, MeanMatchBarrier
+from mirrormfld.objectives import Evaluation, LinearPotential, MeanMatchBarrier
 
 Q = (0.5, 0.3, 0.2)
 
@@ -203,6 +203,17 @@ def test_worker_count_invariance(simplex3, workers):
     assert np.array_equal(a.points, b.points)
 
 
+@pytest.mark.parametrize("sampler", ["mmfld", "mfld"])
+def test_worker_count_invariance_network(sampler):
+    # every chunk reads row slices of the one record of the whole ensemble
+    box, net = _rings_network()
+    cfg = SamplerConfig(sampler=sampler, eta=0.1, temperature=0.1, steps=5)
+    start = initial_ensemble(box, 4001, seed=3)
+    outs = [run_sampler(start, box, net, cfg, workers=w)[0] for w in (1, 2, 3, 8)]
+    for out in outs[1:]:
+        assert np.array_equal(out.points, outs[0].points)
+
+
 def test_particle_permutation_equivariance(simplex3, rng):
     # same particles under a permuted labelling: outputs permute identically
     # when the noise rows are permuted with them (per-particle streams)
@@ -243,15 +254,21 @@ def test_run_sampler_looks_up_step_at_call_time(simplex3, monkeypatch, sampler):
     assert calls == {name: cfg.steps if name == used else 0 for name in calls}
 
 
-def _split_case(name):
-    from mirrormfld.geometry import BoxLogBarrierMap, SimplexEntropyMap
+def _rings_network():
+    """Criterion 8's problem: a tanh network on two rings of 8 points."""
+    from mirrormfld.geometry import BoxLogBarrierMap
     from mirrormfld.objectives import NetworkRisk
-    simplex = SimplexEntropyMap(ambient_dim=3)
-    box = BoxLogBarrierMap(bounds=((-3.0, 3.0),) * 3)
     theta = np.arange(8) * np.pi / 4
     ring = np.column_stack([np.cos(theta), np.sin(theta)])
     net = NetworkRisk(features=np.concatenate([0.7 * ring, 1.4 * ring]),
                       labels=np.zeros(16))
+    return BoxLogBarrierMap(bounds=((-3.0, 3.0),) * 3), net
+
+
+def _split_case(name):
+    from mirrormfld.geometry import SimplexEntropyMap
+    simplex = SimplexEntropyMap(ambient_dim=3)
+    box, net = _rings_network()
     return {
         "mmfld-simplex": (simplex, MeanMatchBarrier(target=Q, beta=1e-4),
                           SamplerConfig(sampler="mmfld", eta=3e-3, temperature=0.1)),
@@ -292,6 +309,53 @@ def test_split_run_equals_unsplit_run(case):
     assert first_rows + second_rows[1:] == whole_rows
 
 
+# -- one evaluation record per ensemble ----------------------------------------
+
+@pytest.mark.parametrize("sampler", ["mmfld", "mfld"])
+@pytest.mark.parametrize("every", [1, 10, None], ids=["every1", "every10", "no-diagnostics"])
+def test_tanh_layer_runs_once_per_ensemble(monkeypatch, sampler, every):
+    # the step and the tick of one ensemble share its record: K steps
+    # evaluate ensembles 0..K-1, and the final tick adds ensemble K
+    from mirrormfld.objectives import NetworkRisk
+    from mirrormfld.runner import metrics_recorder
+    box, net = _rings_network()
+    calls = []
+    outputs = NetworkRisk.neuron_outputs
+    monkeypatch.setattr(NetworkRisk, "neuron_outputs",
+                        lambda self, amb: calls.append(amb.shape) or outputs(self, amb))
+    k = 20
+    cfg = SamplerConfig(sampler=sampler, eta=0.1, temperature=0.1, steps=k)
+    diagnostics = None if every is None else metrics_recorder(box, net, 1e-3)
+    run_sampler(initial_ensemble(box, 50, seed=1), box, net, cfg,
+                diagnostics=diagnostics, every=every or 1, workers=2)
+    assert len(calls) == (k if every is None else k + 1)
+    assert set(calls) == {(50, 3)}
+
+
+def test_evaluation_memo_is_outside_equality_repr_and_replace(simplex3):
+    from dataclasses import replace
+    obj = MeanMatchBarrier(target=Q, beta=1e-4)
+    ens = initial_ensemble(simplex3, 8, seed=0)
+    before = repr(ens)
+    record = ens.evaluation(obj)
+    assert ens.evaluation(obj) is record
+    assert repr(ens) == before
+    assert ens == ParticleEnsemble(points=ens.points, seed=0)
+    moved = replace(ens, iteration=1)
+    assert moved.evaluation(obj) is not record
+
+
+def test_second_objective_gets_its_own_record(simplex3):
+    ens = initial_ensemble(simplex3, 8, seed=0)
+    first = MeanMatchBarrier(target=Q, beta=0.0)
+    twin = MeanMatchBarrier(target=Q, beta=0.0)   # equal, but not the same object
+    other = LinearPotential(alpha=(2.0, 2.0, 2.0), reference_temperature=0.1)
+    records = [ens.evaluation(o) for o in (first, twin, other)]
+    assert len({id(r) for r in records}) == 3
+    assert all(ens.evaluation(o) is r for o, r in zip((first, twin, other), records))
+    assert records[2].stats is None
+
+
 def test_feasibility_over_long_run(simplex3):
     # strict interiority of every particle after every step
     obj = MeanMatchBarrier(target=Q, beta=0.0)
@@ -309,12 +373,12 @@ def test_sampler_error_carries_iteration(simplex3):
         kind = "mean-match-barrier"
 
         def stats(self, amb, weights=None):
-            return np.zeros(3)
+            return Evaluation(amb, weights, np.zeros(3))
 
-        def value(self, amb, stats, weights=None):
+        def value(self, record):
             return 0.0
 
-        def potential_grad(self, amb, stats):
+        def potential_grad(self, record, amb=None):
             raise RuntimeError("boom")
 
     ens = initial_ensemble(simplex3, 4, seed=0)

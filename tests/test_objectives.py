@@ -102,43 +102,43 @@ def test_linear_potential_average(simplex3, rng):
 def test_constant_potential_is_zero():
     obj = LinearPotential(alpha=(1.0, 1.0, 1.0), reference_temperature=0.5)
     pts = np.array([[0.2, 0.3], [0.6, 0.2]])
-    assert np.allclose(obj.potential(np.column_stack([pts, 1 - pts.sum(1)])), 0.0)
+    assert np.allclose(obj.potential(obj.stats(np.column_stack([pts, 1 - pts.sum(1)]))), 0.0)
 
 
 def test_barrier_requires_interior(simplex3):
     obj = MeanMatchBarrier(target=Q, beta=1e-4)
     boundary = np.array([[0.0, 0.5, 0.5]])
     with pytest.raises(DomainViolationError):
-        obj.value(boundary, obj.stats(boundary))
+        obj.value(obj.stats(boundary))
     # beta=0 tolerates boundary points: no barrier term is evaluated
     free = MeanMatchBarrier(target=Q, beta=0.0)
-    assert np.isfinite(free.value(boundary, free.stats(boundary)))
+    assert np.isfinite(free.value(free.stats(boundary)))
 
 
 # -- first variation gradient --------------------------------------------------
 
 def test_mean_match_gradient_stationary_at_target(simplex3):
     obj = MeanMatchBarrier(target=Q, beta=0.0)
-    stats = np.array(Q)
-    g = first_variation_grad(obj, np.array([0.3, 0.4]), stats, simplex3)
+    at_target = obj.stats(np.array([Q]))   # one-point cloud: mean exactly Q
+    g = first_variation_grad(obj, np.array([0.3, 0.4]), at_target, simplex3)
     assert np.allclose(g, 0.0, atol=1e-15)
 
 
 def test_mean_match_gradient_pullback(simplex3):
     obj = MeanMatchBarrier(target=Q, beta=0.0)
-    stats = np.array([0.4, 0.3, 0.3])
-    g = first_variation_grad(obj, np.array([0.5, 0.3]), stats, simplex3)
+    record = obj.stats(np.array([[0.4, 0.3, 0.3]]))
+    g = first_variation_grad(obj, np.array([0.5, 0.3]), record, simplex3)
     assert np.allclose(g, [-0.4, -0.2], atol=1e-12)
 
 
-def _fd_potential_grad(obj, x, stats, mm, h=1e-6):
+def _fd_potential_grad(obj, x, record, mm, h=1e-6):
     # finite differences of the scalar first variation in intrinsic coords
     out = np.zeros_like(x)
     for c in range(x.size):
         e = np.zeros_like(x)
         e[c] = h
-        up = obj.potential(mm.embed((x + e)[None, :]), stats)[0]
-        dn = obj.potential(mm.embed((x - e)[None, :]), stats)[0]
+        up = obj.potential(record, mm.embed((x + e)[None, :]))[0]
+        dn = obj.potential(record, mm.embed((x - e)[None, :]))[0]
         out[c] = (up - dn) / (2 * h)
     return out
 
@@ -146,10 +146,10 @@ def _fd_potential_grad(obj, x, stats, mm, h=1e-6):
 def test_gradient_matches_potential_differences(simplex3, rng):
     obj = MeanMatchBarrier(target=Q, beta=1e-4)
     pts = interior_simplex_points(rng, 10, least=0.05)
-    stats = obj.stats(simplex3.embed(pts))
+    record = obj.stats(simplex3.embed(pts))
     for x in pts:
-        g = first_variation_grad(obj, x, stats, simplex3)
-        fd = _fd_potential_grad(obj, x, stats, simplex3)
+        g = first_variation_grad(obj, x, record, simplex3)
+        fd = _fd_potential_grad(obj, x, record, simplex3)
         assert np.max(np.abs(g - fd)) <= 1e-5 * max(1.0, np.max(np.abs(g)))
 
 
@@ -172,7 +172,43 @@ def test_lift_identity(kind, simplex3, param_box, network, rng):
 def test_gradient_rejects_boundary(simplex3):
     obj = MeanMatchBarrier(target=Q, beta=1e-4)
     with pytest.raises(DomainViolationError):
-        obj.potential_grad(np.array([[0.5, 0.5, 0.0]]), np.array(Q))
+        obj.potential_grad(obj.stats(np.array([Q])), np.array([[0.5, 0.5, 0.0]]))
+
+
+# -- evaluation records ----------------------------------------------------------
+
+@pytest.mark.parametrize("obj", [
+    LinearPotential(alpha=(2.0, 3.0, 1.5), reference_temperature=0.1),
+    MeanMatchBarrier(target=Q, beta=1e-4),
+], ids=["linear", "mean-match-barrier"])
+def test_positivity_scan_runs_once_per_record(obj, simplex3, rng, monkeypatch):
+    from mirrormfld import objectives
+    scans = []
+    scan = objectives._require_positive
+    monkeypatch.setattr(objectives, "_require_positive",
+                        lambda amb, what: scans.append(amb.shape) or scan(amb, what))
+    amb = simplex3.embed(interior_simplex_points(rng, 6, least=0.05))
+    record = obj.stats(amb)
+    obj.value(record)
+    obj.potential(record)
+    obj.potential_grad(record)
+    obj.potential_grad(record.rows(2, 5))
+    assert scans == [(6, 3)]
+    # points other than the record's own are scanned on each call
+    obj.potential_grad(record, amb[:1])
+    assert scans == [(6, 3), (1, 3)]
+
+
+def test_record_rows_read_slices_of_the_whole_evaluation(network, rng):
+    pts = rng.uniform(-2.0, 2.0, size=(7, 3))
+    record = network.stats(pts)
+    chunk = record.rows(2, 5)
+    assert chunk.stats is record.stats
+    assert np.array_equal(chunk.per_point, network.neuron_outputs(pts)[2:5])
+    assert np.array_equal(network.potential_grad(chunk),
+                          network.potential_grad(record)[2:5])
+    assert np.array_equal(network.potential_grad(record, pts),
+                          network.potential_grad(record))
 
 
 # -- linear convexity over grid measures ----------------------------------------
@@ -189,8 +225,7 @@ def test_linear_convexity_on_grid_measures(alpha, rng):
         mix = alpha * wa + (1 - alpha) * wb
 
         def value(w):
-            stats = obj.stats(grid.nodes, w)
-            return obj.value(grid.nodes, stats, w)
+            return obj.value(obj.stats(grid.nodes, w))
 
         assert value(mix) <= alpha * value(wa) + (1 - alpha) * value(wb) + 1e-12
 

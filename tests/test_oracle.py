@@ -126,7 +126,7 @@ def test_gibbs_uniform_when_mean_matches_target(grid, mean_match):
     w = np.zeros(grid.n_nodes)
     w[picks] = coeff / coeff.sum()
     mu = GridMeasure(grid, w)
-    assert np.allclose(mean_match.stats(nodes, mu.weights), Q, atol=1e-12)
+    assert np.allclose(mean_match.stats(nodes, mu.weights).stats, Q, atol=1e-12)
     gibbs = proximal_gibbs(grid, mean_match, mu, LAM)
     assert np.max(np.abs(gibbs.weights * grid.n_nodes - 1.0)) <= 1e-10
 

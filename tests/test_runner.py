@@ -61,6 +61,27 @@ def test_boundary_fraction_box():
     assert boundary_fraction(pts, box, 1e-3) == pytest.approx(2 / 3)
 
 
+@pytest.mark.parametrize("kind", ["simplex", "box"])
+def test_boundary_fraction_column_minimum_matches_reduction(kind, simplex3):
+    # the running column minimum equals np.min along the last axis bit for
+    # bit, NaN rows included, on rows near a face or a wall
+    from mirrormfld.geometry import BoxLogBarrierMap
+    from mirrormfld.runner import _row_min
+    rng = np.random.default_rng(11)
+    if kind == "simplex":
+        mm = simplex3
+        pts = rng.dirichlet((0.05, 0.05, 0.05), size=4000)
+    else:
+        mm = BoxLogBarrierMap(bounds=((-3.0, 3.0), (0.0, 1.0), (-1.0, 2.0)))
+        pts = mm.lower + rng.beta(0.05, 0.05, size=(4000, 3)) * (mm.upper - mm.lower)
+    pts[7, 1] = np.nan
+    gaps = pts if kind == "simplex" else np.minimum(pts - mm.lower, mm.upper - pts)
+    reduced = np.min(gaps, axis=-1)
+    assert 0.0 < np.mean(reduced < 1e-3) < 1.0
+    assert np.array_equal(_row_min(gaps), reduced, equal_nan=True)
+    assert boundary_fraction(pts, mm, 1e-3) == float(np.mean(reduced < 1e-3))
+
+
 # -- run_experiment --------------------------------------------------------------
 
 def test_run_writes_expected_files(tmp_path):
