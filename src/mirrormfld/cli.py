@@ -135,35 +135,36 @@ def _selfcheck_geometry(rng) -> list[str]:
     failures = []
     simplex = SimplexEntropyMap(ambient_dim=3)
     box = BoxLogBarrierMap(bounds=((-1.0, 2.0), (0.0, 1.0)))
+    # the mirror maps take coordinate-first (m, N) batches
     for name, mm, pts in (
-            ("simplex", simplex, rng.dirichlet((1, 1, 1), size=500)[:, :2]),
-            ("box", box, np.column_stack([rng.uniform(-0.9, 1.9, 500),
-                                          rng.uniform(0.05, 0.95, 500)]))):
+            ("simplex", simplex, rng.dirichlet((1, 1, 1), size=500)[:, :2].T),
+            ("box", box, np.vstack([rng.uniform(-0.9, 1.9, 500),
+                                    rng.uniform(0.05, 0.95, 500)]))):
         err = np.max(np.abs(mm.backward(mm.forward(pts)) - pts))
         if err > 1e-10:
             failures.append(f"{name} round trip error {err:.2e}")
-        y = rng.uniform(-20, 20, size=(500, 2))
+        y = rng.uniform(-20, 20, size=(500, 2)).T
         back = mm.backward(y)
-        err = np.max(np.abs(mm.forward(back) - y), axis=-1)
+        err = np.max(np.abs(mm.forward(back) - y), axis=0)
         if name == "simplex":
             # near the x_d -> 0 face the reduced coordinates cannot represent
             # the pinned coordinate below machine resolution; the attainable
             # error there is eps / x_d, so the bound widens to that envelope
-            smallest = np.min(mm.embed(back), axis=-1)
+            smallest = np.min(mm.embed(back), axis=0)
             bound = np.maximum(1e-8, 8 * np.finfo(float).eps / smallest)
         else:
             bound = np.full_like(err, 1e-8)
         if np.any(err > bound):
             failures.append(f"{name} dual round trip error {np.max(err):.2e}")
-        xi = rng.standard_normal(y.shape)
+        xi = rng.standard_normal((500, 2)).T
         _, ell = mm.metric_from_dual(y, 0.7)
-        dense = np.einsum("...ij,...j->...i", ell, xi)
-        scale = np.abs(y) + np.einsum("...ij,...j->...i", np.abs(ell), np.abs(xi))
+        dense = np.einsum("ij...,j...->i...", ell, xi)
+        scale = np.abs(y) + np.einsum("ij...,j...->i...", np.abs(ell), np.abs(xi))
         err = np.max(np.abs(mm.diffusion_substep(y, 0.7, xi) - (y + dense)) / scale)
         if err > 1e-12:
             failures.append(f"{name} kick differs from its dense factor by {err:.2e}")
         h, ell = mm.metric(pts, 0.7)
-        err = np.max(np.abs(ell @ np.swapaxes(ell, -1, -2) - 0.7 * h))
+        err = np.max(np.abs(np.einsum("ik...,jk...->ij...", ell, ell) - 0.7 * h))
         if err > 1e-10:
             failures.append(f"{name} factor error {err:.2e}")
     return failures
@@ -194,7 +195,7 @@ def _selfcheck_streams() -> list[str]:
     failures = []
     full = rngstream.normal_block(9, 4, 0, 0, 64, 3)
     part = rngstream.normal_block(9, 4, 0, 17, 41, 3)
-    if not np.array_equal(full[17:41], part):
+    if not np.array_equal(full[:, 17:41], part):
         failures.append("stream slices disagree with the full block")
     again = rngstream.normal_block(9, 4, 0, 0, 64, 3)
     if not np.array_equal(full, again):

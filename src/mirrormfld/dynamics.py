@@ -16,6 +16,13 @@ instead works in ambient coordinates with isotropic noise and a Euclidean
 projection after every update; the plain ``mfld`` sampler is the same
 update without projection, for unconstrained sanity runs.
 
+The dual state is coordinate-first, one C-contiguous (m, N) array, and the
+whole mirror iteration -- pullback, drift, noise, factor, kick, cap,
+near-face redraw and ``ambient_from_dual`` -- runs on (m, n) chunks of it
+(see the ``geometry`` conventions).  Each chunk's ambient points are
+transposed once into the row-major (N, d) ``points`` that objectives and
+diagnostics read.
+
 All per-particle noise comes from the counter-based streams in
 ``rngstream``, keyed by (seed, particle, iteration, substep), so the
 ensemble is the whole state of a run: results are independent of how
@@ -31,6 +38,7 @@ import numpy as np
 
 from . import rngstream
 from .errors import SamplerError
+from .geometry import coordinate_sum
 
 Array = np.ndarray
 
@@ -73,9 +81,11 @@ class SamplerConfig:
 class ParticleEnsemble:
     """N particle rows plus the iteration counter and RNG lineage.
 
-    ``points`` is the (N, d) ambient view for every sampler.  A mirror
-    ensemble also carries its (N, m) ``dual`` state, from which ``points``
-    is derived; it is ``None`` until ``run_sampler`` first enters it.
+    ``points`` is the C-contiguous (N, d) ambient view for every sampler:
+    objectives and diagnostics read it row-major, and their row-major sums
+    fix the metrics bit for bit.  A mirror ensemble also carries its
+    coordinate-first (m, N) ``dual`` state, from which ``points`` is
+    derived; it is ``None`` until ``run_sampler`` first enters it.
     """
 
     points: Array
@@ -89,10 +99,16 @@ class ParticleEnsemble:
                                compare=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = np.ascontiguousarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ValueError("points must be a nonempty (N, dim) array")
         object.__setattr__(self, "points", pts)
+        if self.dual is not None:
+            dual = np.ascontiguousarray(self.dual, dtype=np.float64)
+            if dual.ndim != 2 or dual.shape[1] != pts.shape[0]:
+                raise ValueError(f"dual must be an (m, {pts.shape[0]}) array, "
+                                 f"got shape {dual.shape}")
+            object.__setattr__(self, "dual", dual)
 
     def evaluation(self, objective):
         """The objective's evaluation record of ``points``, built on first use.
@@ -121,13 +137,14 @@ def initial_ensemble(mirror_map, n: int, seed: int, *, ambient=None) -> Particle
     """
     if n < 1:
         raise ValueError("need at least one particle")
+    pts = np.empty((n, mirror_map.ambient_dim))
+    u = rngstream.uniform_block(seed, rngstream.INIT_ITERATION, 0, 0, n, mirror_map.ambient_dim)
     if mirror_map.kind == "simplex-entropy":
-        u = rngstream.uniform_block(seed, rngstream.INIT_ITERATION, 0, 0, n, mirror_map.ambient_dim)
-        e = -np.log1p(-u)
-        pts = e / np.sum(e, axis=-1, keepdims=True)
+        e = np.negative(np.log1p(np.negative(u, out=u), out=u), out=u)
+        np.divide(e, coordinate_sum(e), out=pts.T)
     else:
-        u = rngstream.uniform_block(seed, rngstream.INIT_ITERATION, 0, 0, n, mirror_map.intrinsic_dim)
-        pts = mirror_map.lower + u * (mirror_map.upper - mirror_map.lower)
+        u *= (mirror_map.upper - mirror_map.lower)[:, None]
+        np.add(mirror_map.lower[:, None], u, out=pts.T)
     return ParticleEnsemble(points=pts, seed=seed)
 
 
@@ -135,15 +152,15 @@ def inner_diffusion(y: Array, mirror_map, temperature: float, eta: float,
                     substeps: int, draw, step_cap: float | None = None) -> Array:
     """Simulate the pure mirror diffusion over [0, eta] in K substeps.
 
-    ``draw(substep)`` must return standard normals shaped like y.  Each of
-    the K substeps of length h = eta/K adds ``L @ xi`` where L is the
-    Cholesky factor of ``2 * temperature * h * H(x)`` at the current primal
-    position x = backward(y); the dual Hessian inverse equals the primal
-    Hessian there, so no matrix inversion occurs (and the Hessian is
-    assembled straight from y, which stays accurate arbitrarily close to
-    the boundary).  With ``step_cap`` set, increments are tamed and the
-    simplex map switches to its exact near-face kernel inside the layer
-    where the Euler kick is unresolvable -- see
+    ``draw(substep)`` must return standard normals shaped like the
+    coordinate-first y.  Each of the K substeps of length h = eta/K adds
+    ``L @ xi`` where L is the Cholesky factor of ``2 * temperature * h *
+    H(x)`` at the current primal position x = backward(y); the dual Hessian
+    inverse equals the primal Hessian there, so no matrix inversion occurs
+    (and the Hessian is assembled straight from y, which stays accurate
+    arbitrarily close to the boundary).  With ``step_cap`` set, increments
+    are tamed and the simplex map switches to its exact near-face kernel
+    inside the layer where the Euler kick is unresolvable -- see
     ``SimplexEntropyMap.diffusion_substep``.  The bare operation defaults
     to the untamed update.
     """
@@ -179,23 +196,28 @@ def _mirror_iteration(ensemble: ParticleEnsemble, mirror_map, objective,
     same ensemble shares.  The carried dual state is never rebuilt from primal
     floats, a lossy round trip that bottoms out at machine epsilon near a
     face, so particles are tracked within any positive distance of it.
+    Each chunk works on coordinate-first (m, hi - lo) arrays, in place
+    where it can.
     """
     dual, ambient = ensemble.dual, ensemble.points
-    n, m = dual.shape
+    m, n = dual.shape
     seed, k = ensemble.seed, ensemble.iteration
     record = ensemble.evaluation(objective)
     out_dual = np.empty_like(dual)
     out_ambient = np.empty_like(ambient)
 
     def update(lo, hi):
-        grad = mirror_map.pullback(objective.potential_grad(record.rows(lo, hi)))
-        drift = np.clip(-cfg.eta * grad, -DUAL_STEP_CAP, DUAL_STEP_CAP)
+        # the drift is built in the pulled-back gradient, a fresh array
+        y = mirror_map.pullback(objective.potential_grad(record.rows(lo, hi)).T)
+        y *= -cfg.eta
+        np.clip(y, -DUAL_STEP_CAP, DUAL_STEP_CAP, out=y)
+        y += dual[:, lo:hi]
         y = inner_diffusion(
-            dual[lo:hi] + drift, mirror_map, cfg.temperature, cfg.eta, cfg.substeps,
+            y, mirror_map, cfg.temperature, cfg.eta, cfg.substeps,
             lambda s: rngstream.normal_block(seed, k, s, lo, hi, m),
             step_cap=DUAL_STEP_CAP)
-        out_dual[lo:hi] = y
-        out_ambient[lo:hi] = mirror_map.ambient_from_dual(y)
+        out_dual[:, lo:hi] = y
+        out_ambient[lo:hi] = mirror_map.ambient_from_dual(y).T
 
     _run_chunks(update, _chunk_ranges(n, chunks), pool)
     return replace(ensemble, points=out_ambient, dual=out_dual, iteration=k + 1)
@@ -250,7 +272,9 @@ def euclidean_step(ensemble: ParticleEnsemble, mirror_map, objective, cfg: Sampl
     def update(lo, hi):
         x = pts[lo:hi] - cfg.eta * objective.potential_grad(record.rows(lo, hi))
         if noise_scale > 0.0:
-            x = x + noise_scale * rngstream.normal_block(seed, k, 0, lo, hi, d)
+            noise = rngstream.normal_block(seed, k, 0, lo, hi, d)
+            noise *= noise_scale
+            x += noise.T
         out[lo:hi] = _project_ambient(x, mirror_map) if project else x
 
     _run_chunks(update, _chunk_ranges(n, chunks), pool)
@@ -274,8 +298,8 @@ def run_sampler(ensemble: ParticleEnsemble, mirror_map, objective, cfg: SamplerC
     """
     step = _mirror_iteration if cfg.sampler == "mmfld" else euclidean_step
     if cfg.sampler == "mmfld" and ensemble.dual is None:
-        x = ensemble.points[:, :mirror_map.intrinsic_dim]
-        ensemble = replace(ensemble, points=mirror_map.embed(x), dual=mirror_map.forward(x))
+        x = np.ascontiguousarray(ensemble.points[:, :mirror_map.intrinsic_dim].T)
+        ensemble = replace(ensemble, points=mirror_map.embed(x).T, dual=mirror_map.forward(x))
     rows = []
     if cfg.steps == 0:
         return ensemble, rows

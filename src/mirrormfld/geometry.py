@@ -13,9 +13,15 @@ Two barrier geometries are shipped:
 
 Conventions
 -----------
-All operations take arrays whose last axis is the coordinate axis and
-broadcast over leading axes, so an ensemble of shape (N, m) is handled in
-one call.  ``forward`` is the gradient of the barrier (primal -> dual) and
+Arrays are coordinate-first: axis 0 is the coordinate axis and any further
+axes index points, so an ensemble is one (m, N) array whose coordinates are
+contiguous rows, and a single point is a 1-D (m,) array.  Dense matrices
+(``hessian``, ``metric``) are (m, m, ...) with the point axes last.  At the
+small m of the shipped settings, whole-row operations are far faster than
+numpy reductions along a short last axis.  Every sum across coordinates
+goes through ``coordinate_sum``, which adds in numpy's pairwise order, so
+the results equal those of the (N, m) layout bit for bit at every m.
+``forward`` is the gradient of the barrier (primal -> dual) and
 ``backward`` its inverse (dual -> primal, always interior-valued).
 
 Each map has one diffusion-factor primitive, a Cholesky factor L of
@@ -42,25 +48,70 @@ Array = np.ndarray
 
 def _as_points(x, dim, what):
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1:] != (dim,):
-        raise ValueError(f"{what} must have last axis of length {dim}, got shape {x.shape}")
+    if x.shape[:1] != (dim,):
+        raise ValueError(f"{what} must have first axis of length {dim}, got shape {x.shape}")
     return x
 
 
+def _column(v, x):
+    """The per-coordinate vector v shaped to broadcast against coordinate-first x."""
+    return v.reshape(v.shape + (1,) * (np.ndim(x) - 1))
+
+
+def _pairwise_sum(x):
+    """numpy's pairwise summation of a contiguous row, applied to every column
+    of x: sequential below 8 terms, eight interleaved accumulators up to 128,
+    halves split at a multiple of 8 above that."""
+    d = x.shape[0]
+    if d < 8:
+        out = x[0] + 0.0
+        for row in x[1:]:
+            out += row
+        return out
+    if d <= 128:
+        acc = x[:8].copy()
+        body = d - d % 8
+        for i in range(8, body, 8):
+            acc += x[i:i + 8]
+        out = (acc[0] + acc[1]) + (acc[2] + acc[3])
+        out += (acc[4] + acc[5]) + (acc[6] + acc[7])
+        for row in x[body:]:
+            out += row
+        return out
+    half = d // 2
+    half -= half % 8
+    out = _pairwise_sum(x[:half])
+    out += _pairwise_sum(x[half:])
+    return out
+
+
+def coordinate_sum(x: Array) -> Array:
+    """Sum over axis 0, bit for bit what ``np.sum(a, axis=-1)`` gives for the
+    row-major ``a = np.ascontiguousarray(x.T)``.
+
+    numpy's reduction starts from the identity +0.0, which shows only in
+    the sign of a zero sum; NaN payloads may differ.
+    """
+    out = _pairwise_sum(x)
+    if x.shape[0] >= 8:
+        out += 0.0
+    return out
+
+
 def _diag_matrix(d):
-    """Dense (..., m, m) matrix with d on the diagonal and zeros elsewhere."""
-    m = d.shape[-1]
-    out = np.zeros(d.shape + (m,))
+    """Dense (m, m, ...) matrix with d on the diagonal and zeros elsewhere."""
+    m = d.shape[0]
+    out = np.zeros((m,) + d.shape)
     idx = np.arange(m)
-    out[..., idx, idx] = d
+    out[idx, idx] = d
     return out
 
 
 def _diag_rank_one_factor(diag, bump, what):
     """Cholesky factor of diag(diag) + bump * ones(m, m), batched, as (root, col).
 
-    Column k of the factor holds root[..., k] on the diagonal and the
-    constant col[..., k] everywhere below it; both are (..., m).  The pivot
+    Column k of the factor holds root[k] on the diagonal and the constant
+    col[k] everywhere below it; both are (m, ...) like diag.  The pivot
     recursion for this structure is cancellation-free -- the
     Schur-complement bump updates as bump * d_k / (d_k + bump), a positive
     product -- so the factorization succeeds whenever the inputs are
@@ -69,20 +120,25 @@ def _diag_rank_one_factor(diag, bump, what):
     """
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(bump))):
         raise FactorizationError(f"{what}: non-finite Hessian entries (point at boundary?)")
-    m = diag.shape[-1]
+    shape, m = diag.shape, diag.shape[0]
+    diag = diag.reshape(m, -1)
     root = np.empty(diag.shape)
     col = np.zeros(diag.shape)
-    bump = np.broadcast_to(bump, diag.shape[:-1]).copy()
-    for k in range(m):
-        pivot = diag[..., k] + bump
-        if not np.all(pivot > 0):
-            raise FactorizationError(f"{what}: Hessian not numerically SPD")
-        root[..., k] = np.sqrt(pivot)
-        if k + 1 < m:
-            ratio = bump / pivot
-            col[..., k] = ratio * root[..., k]
-            bump = diag[..., k] * ratio
-    return root, col
+    bump = np.broadcast_to(bump, shape[1:]).reshape(-1).copy()
+    # pivots are checked once at the end: a nonpositive one leaves a
+    # nonpositive or NaN root behind
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(m):
+            pivot = np.add(diag[k], bump, out=root[k])
+            if k + 1 < m:
+                ratio = bump / pivot
+                np.multiply(diag[k], ratio, out=bump)
+            np.sqrt(pivot, out=root[k])
+            if k + 1 < m:
+                np.multiply(ratio, root[k], out=col[k])
+    if not np.all(root > 0):
+        raise FactorizationError(f"{what}: Hessian not numerically SPD")
+    return root.reshape(shape), col.reshape(shape)
 
 
 def _diag_root(d, scale):
@@ -90,7 +146,7 @@ def _diag_root(d, scale):
     sd = scale * d
     if not np.all(np.isfinite(sd)):
         raise FactorizationError("box metric: non-finite Hessian entries (point at boundary?)")
-    return np.sqrt(sd)
+    return np.sqrt(sd, out=sd)
 
 
 @dataclass(frozen=True)
@@ -117,7 +173,7 @@ class SimplexEntropyMap:
 
     def last_coordinate(self, x: Array) -> Array:
         x = _as_points(x, self.intrinsic_dim, "primal point")
-        return 1.0 - np.sum(x, axis=-1)
+        return 1.0 - coordinate_sum(x)
 
     def require_interior(self, x: Array, what: str = "point") -> Array:
         x = _as_points(x, self.intrinsic_dim, what)
@@ -132,21 +188,21 @@ class SimplexEntropyMap:
     # -- embedding ------------------------------------------------------
 
     def embed(self, x: Array) -> Array:
-        """Append the pinned coordinate: (..., m) -> (..., m+1)."""
+        """Append the pinned coordinate: (m, ...) -> (m+1, ...)."""
         x = _as_points(x, self.intrinsic_dim, "primal point")
-        return np.concatenate([x, self.last_coordinate(x)[..., None]], axis=-1)
+        return np.concatenate([x, self.last_coordinate(x)[None]], axis=0)
 
     def pullback(self, g_ambient: Array) -> Array:
-        """Chain rule through the affine embedding: g_c - g_d."""
+        """Chain rule through the affine embedding: g_c - g_d, C-contiguous."""
         g = _as_points(g_ambient, self.ambient_dim, "ambient gradient")
-        return g[..., :-1] - g[..., -1:]
+        return np.subtract(g[:-1], g[-1], out=np.empty((self.intrinsic_dim,) + g.shape[1:]))
 
     # -- gradient maps ----------------------------------------------------
 
     def forward(self, x: Array) -> Array:
         """Mirror map: y_c = log(x_c / x_d) with x_d the pinned coordinate."""
         x = self.require_interior(x, "mirror_forward input")
-        return np.log(x) - np.log(self.last_coordinate(x))[..., None]
+        return np.log(x) - np.log(self.last_coordinate(x))
 
     def backward(self, y: Array) -> Array:
         """Inverse mirror map, the pinned-coordinate softmax.
@@ -155,7 +211,7 @@ class SimplexEntropyMap:
         nonpositive, so dual coordinates of magnitude in the hundreds are
         handled without overflow.
         """
-        return self.ambient_from_dual(y)[..., :-1]
+        return self.ambient_from_dual(y)[:-1]
 
     def ambient_from_dual(self, y: Array) -> Array:
         """All d ambient coordinates of backward(y), each relative-accurate.
@@ -166,21 +222,25 @@ class SimplexEntropyMap:
         the pinned face.
         """
         y = _as_points(y, self.intrinsic_dim, "dual point")
-        shift = np.maximum(np.max(y, axis=-1, keepdims=True), 0.0)
-        e = np.concatenate([np.exp(y - shift), np.exp(-shift)], axis=-1)
-        return e / np.sum(e, axis=-1, keepdims=True)
+        shift = np.maximum(np.max(y, axis=0), 0.0)
+        e = np.empty((self.ambient_dim,) + y.shape[1:])
+        np.subtract(y, shift, out=e[:-1])
+        np.negative(shift, out=e[-1:])
+        np.exp(e, out=e)
+        e /= coordinate_sum(e)
+        return e
 
     # -- Hessian metric ---------------------------------------------------
 
     def hessian(self, x: Array) -> Array:
-        """Reduced Hessian diag(1/x_c) + (1/x_d) 11^T, shape (..., m, m)."""
+        """Reduced Hessian diag(1/x_c) + (1/x_d) 11^T, shape (m, m, ...)."""
         x = self.require_interior(x, "hessian input")
-        return _diag_matrix(1.0 / x) + (1.0 / self.last_coordinate(x))[..., None, None]
+        return _diag_matrix(1.0 / x) + 1.0 / self.last_coordinate(x)
 
     def inverse_hessian(self, x: Array) -> Array:
         """Closed-form inverse diag(x) - x x^T (the dual Hessian at forward(x))."""
         x = self.require_interior(x, "inverse_hessian input")
-        return _diag_matrix(x) - x[..., :, None] * x[..., None, :]
+        return _diag_matrix(x) - x[:, None] * x[None, :]
 
     def dual_hessian(self, y: Array) -> Array:
         return self.inverse_hessian(self.backward(y))
@@ -188,18 +248,18 @@ class SimplexEntropyMap:
     @staticmethod
     def _factor(ambient: Array, scale: float) -> tuple[Array, Array]:
         """The (root, col) factor of scale * H at the ambient point."""
-        return _diag_rank_one_factor(scale / ambient[..., :-1], scale / ambient[..., -1],
+        return _diag_rank_one_factor(scale / ambient[:-1], scale / ambient[-1],
                                      "simplex metric")
 
     def _metric_from_ambient(self, ambient: Array, scale: float) -> tuple[Array, Array]:
         if scale < 0:
             raise ValueError("metric scale must be nonnegative")
-        h = _diag_matrix(1.0 / ambient[..., :-1]) + (1.0 / ambient[..., -1])[..., None, None]
+        h = _diag_matrix(1.0 / ambient[:-1]) + 1.0 / ambient[-1]
         if scale == 0.0:
             return h, np.zeros_like(h)
         root, col = self._factor(ambient, scale)
-        below = np.broadcast_to(col[..., None, :], h.shape)
-        return h, np.tril(below, -1) + _diag_matrix(root)
+        below = _column(np.tri(self.intrinsic_dim, k=-1, dtype=bool), root)
+        return h, np.where(below, col[None], 0.0) + _diag_matrix(root)
 
     def metric(self, x: Array, scale: float) -> tuple[Array, Array]:
         """Return (H, L) with H the Hessian and L L^T = scale * H exactly."""
@@ -228,32 +288,33 @@ class SimplexEntropyMap:
         disables both the cap and the near-face kernel.
         """
         y = _as_points(y, self.intrinsic_dim, "dual point")
+        xi = np.asarray(xi, dtype=np.float64)
         single = y.ndim == 1
-        y = np.atleast_2d(y)
-        xi = np.atleast_2d(np.asarray(xi, dtype=np.float64))
+        if single:
+            y, xi = y[:, None], xi[:, None]
         ambient = self.ambient_from_dual(y)
-        root, col = self._factor(ambient, scale)
-        # L xi in O(m): column k of L is constant below its diagonal, so row k
-        # adds the running sum of col * xi over earlier columns (a shifted
-        # cumsum; np.cumsum along a short last axis is slower than this loop)
-        kick = root * xi
-        running = np.zeros(y.shape[0])
+        # the kick is built in the factor's root: L xi in O(m), since column k
+        # of L is constant below its diagonal, so row k adds the running sum
+        # of col * xi over earlier rows
+        kick, col = self._factor(ambient, scale)
+        kick *= xi
+        running = np.zeros(y.shape[1:])
         for k in range(1, self.intrinsic_dim):
-            running += col[:, k - 1] * xi[:, k - 1]
-            kick[:, k] += running
-        if step_cap is None:
-            out = y + kick
-            return out[0] if single else out
-        out = y + np.clip(kick, -step_cap, step_cap)
-        deep = np.min(ambient, axis=-1) < scale / step_cap ** 2
-        if np.any(deep):
-            amb = ambient[deep]
-            face = np.argmin(amb, axis=-1)
-            exp_draw = -np.log1p(-ndtr(xi[deep, 0]))
-            amb[np.arange(amb.shape[0]), face] = 0.5 * scale * exp_draw
-            amb /= np.sum(amb, axis=-1, keepdims=True)
-            out[deep] = np.log(amb[:, :-1]) - np.log(amb[:, -1:])
-        return out[0] if single else out
+            running += col[k - 1] * xi[k - 1]
+            kick[k] += running
+        if step_cap is not None:
+            np.clip(kick, -step_cap, step_cap, out=kick)
+        kick += y
+        if step_cap is not None:
+            deep = np.min(ambient, axis=0) < scale / step_cap ** 2
+            if np.any(deep):
+                amb = ambient[:, deep]
+                face = np.argmin(amb, axis=0)
+                exp_draw = -np.log1p(-ndtr(xi[0, deep]))
+                amb[face, np.arange(amb.shape[1])] = 0.5 * scale * exp_draw
+                amb /= coordinate_sum(amb)
+                kick[:, deep] = np.log(amb[:-1]) - np.log(amb[-1])
+        return kick[:, 0] if single else kick
 
     # -- probe support ----------------------------------------------------
 
@@ -312,7 +373,8 @@ class BoxLogBarrierMap:
 
     def require_interior(self, x: Array, what: str = "point") -> Array:
         x = _as_points(x, self.intrinsic_dim, what)
-        worst = float(np.min(np.minimum(x - self._lo, self._hi - x)))
+        lo, hi = _column(self._lo, x), _column(self._hi, x)
+        worst = float(np.min(np.minimum(x - lo, hi - x)))
         if not worst > 0.0:
             raise DomainViolationError(
                 f"{what} on or outside the box boundary (worst margin {worst:.3e})"
@@ -325,22 +387,29 @@ class BoxLogBarrierMap:
         return _as_points(x, self.intrinsic_dim, "primal point")
 
     def pullback(self, g_ambient: Array) -> Array:
-        return _as_points(g_ambient, self.intrinsic_dim, "ambient gradient")
+        """The identity, C-contiguous (a copy unless g_ambient already is)."""
+        return np.ascontiguousarray(_as_points(g_ambient, self.intrinsic_dim, "ambient gradient"))
 
     # -- gradient maps ----------------------------------------------------
 
     def forward(self, x: Array) -> Array:
         """Barrier gradient -1/(x - a) + 1/(b - x), coordinate-wise."""
         x = self.require_interior(x, "mirror_forward input")
-        return -1.0 / (x - self._lo) + 1.0 / (self._hi - x)
+        return -1.0 / (x - _column(self._lo, x)) + 1.0 / (_column(self._hi, x) - x)
 
     def _wall_gaps(self, y: Array) -> tuple[Array, Array]:
         """Stable (x - a, b - x) for x = backward(y), both relative-accurate."""
         y = _as_points(y, self.intrinsic_dim, "dual point")
-        w = self._hi - self._lo
+        w = _column(self._hi - self._lo, y)
         ybar = y * w
-        s = np.sqrt(ybar * ybar + 4.0)
-        return 2.0 * w / (s - ybar + 2.0), 2.0 * w / (s + ybar + 2.0)
+        s = ybar * ybar
+        s += 4.0
+        np.sqrt(s, out=s)
+        lo_gap = s - ybar
+        lo_gap += 2.0
+        s += ybar
+        s += 2.0
+        return np.divide(2.0 * w, lo_gap, out=lo_gap), np.divide(2.0 * w, s, out=s)
 
     def backward(self, y: Array) -> Array:
         """Invert the barrier gradient per coordinate.
@@ -357,8 +426,8 @@ class BoxLogBarrierMap:
         """
         lo_gap, hi_gap = self._wall_gaps(y)
         y = np.asarray(y, dtype=np.float64)
-        return np.where(y * (self._hi - self._lo) <= 0.0,
-                        self._lo + lo_gap, self._hi - hi_gap)
+        lo, hi = _column(self._lo, y), _column(self._hi, y)
+        return np.where(y * (hi - lo) <= 0.0, lo + lo_gap, hi - hi_gap)
 
     def ambient_from_dual(self, y: Array) -> Array:
         return self.backward(y)
@@ -367,7 +436,7 @@ class BoxLogBarrierMap:
 
     def hessian_diagonal(self, x: Array) -> Array:
         x = self.require_interior(x, "hessian input")
-        return 1.0 / (x - self._lo) ** 2 + 1.0 / (self._hi - x) ** 2
+        return 1.0 / (x - _column(self._lo, x)) ** 2 + 1.0 / (_column(self._hi, x) - x) ** 2
 
     def hessian(self, x: Array) -> Array:
         return _diag_matrix(self.hessian_diagonal(x))
@@ -381,7 +450,12 @@ class BoxLogBarrierMap:
     def _hessian_diagonal_from_dual(self, y: Array) -> Array:
         """hessian_diagonal(backward(y)), with wall gaps taken stably from y."""
         lo_gap, hi_gap = self._wall_gaps(y)
-        return 1.0 / lo_gap ** 2 + 1.0 / hi_gap ** 2
+        lo_gap *= lo_gap
+        np.divide(1.0, lo_gap, out=lo_gap)
+        hi_gap *= hi_gap
+        np.divide(1.0, hi_gap, out=hi_gap)
+        lo_gap += hi_gap
+        return lo_gap
 
     def _metric_from_diagonal(self, d: Array, scale: float) -> tuple[Array, Array]:
         if scale < 0:
@@ -406,10 +480,12 @@ class BoxLogBarrierMap:
         wall region is a log-scale random walk with bounded increments and
         inward drift, so capped Euler steps already track it faithfully.
         """
-        kick = _diag_root(self._hessian_diagonal_from_dual(y), scale) * xi
+        kick = _diag_root(self._hessian_diagonal_from_dual(y), scale)
+        kick *= xi
         if step_cap is not None:
-            kick = np.clip(kick, -step_cap, step_cap)
-        return y + kick
+            np.clip(kick, -step_cap, step_cap, out=kick)
+        kick += y
+        return kick
 
     # -- probe support ----------------------------------------------------
 

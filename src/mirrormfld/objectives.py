@@ -23,7 +23,8 @@ The common surface, duck-typed across the three kinds, runs through one
 ``potential_grad(record, ambient=None)``
     Ambient gradient of the first variation per point, at the record's own
     points or at ``ambient``; the per-particle drift up to the mirror
-    pullback.
+    pullback.  Always a new (N, d) array, which the mirror step turns into
+    the drift in place.
 
 Points other than the record's own go through the same formulas; they are
 scanned for positivity on each call.  A sampler chunk reads
@@ -38,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainViolationError
+from .geometry import coordinate_sum
 
 Array = np.ndarray
 
@@ -116,6 +118,7 @@ class LinearPotential:
             raise ValueError("reference_temperature must be positive")
         object.__setattr__(self, "alpha", tuple(a))
         object.__setattr__(self, "_coef", self.reference_temperature * (a - 1.0))
+        object.__setattr__(self, "_off", self._coef == 0.0)
 
     @property
     def ambient_dim(self) -> int:
@@ -132,18 +135,26 @@ class LinearPotential:
 
     def potential(self, record: Evaluation, ambient: Array | None = None) -> Array:
         ambient = _points(record, ambient, self._scan)
-        with np.errstate(divide="ignore"):
-            logs = np.where(self._coef == 0.0, 0.0, np.log(ambient))
+        # switched-off coordinates may be anything, even outside the simplex
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.log(ambient)
+        logs[:, self._off] = 0.0
         return -logs @ self._coef
 
     def value(self, record: Evaluation) -> float:
         return float(record.weight_vector @ self.potential(record))
 
     def potential_grad(self, record: Evaluation, ambient: Array | None = None) -> Array:
+        """The (N, d) gradient, built coordinate-first and returned transposed,
+        so that the mirror step's pullback reads contiguous rows."""
         ambient = _points(record, ambient, self._scan)
-        with np.errstate(divide="ignore"):
-            inv = np.where(self._coef == 0.0, 0.0, 1.0 / ambient)
-        return -self._coef * inv
+        grad = np.empty(ambient.shape[::-1])
+        # switched-off coordinates may be zero: their rows are overwritten
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(1.0, ambient.T, out=grad)
+            grad *= -self._coef[:, None]
+        grad[self._off] = -0.0      # -coef * 0.0, a signed zero
+        return grad.T
 
 
 @dataclass(frozen=True)
@@ -187,14 +198,14 @@ class MeanMatchBarrier:
         out = float(diff @ diff)
         if self.beta > 0.0:
             out -= self.beta * float(record.weight_vector
-                                     @ np.sum(np.log(record.ambient), axis=-1))
+                                     @ coordinate_sum(np.log(record.ambient).T))
         return out
 
     def potential(self, record: Evaluation, ambient: Array | None = None) -> Array:
         ambient = _points(record, ambient, self._scan)
         g = 2.0 * ambient @ (record.stats - self._q)
         if self.beta > 0.0:
-            g = g - self.beta * np.sum(np.log(ambient), axis=-1)
+            g = g - self.beta * coordinate_sum(np.log(ambient).T)
         return g
 
     def potential_grad(self, record: Evaluation, ambient: Array | None = None) -> Array:
@@ -304,13 +315,19 @@ def load_dataset(path) -> tuple[Array, Array]:
     return data[:, :-1], data[:, -1]
 
 
+def _embed_rows(mirror_map, points: Array) -> Array:
+    """The (N, d) ambient rows of (N, m) intrinsic rows; the mirror map
+    itself works coordinate-first."""
+    return np.ascontiguousarray(mirror_map.embed(np.asarray(points, dtype=np.float64).T).T)
+
+
 def ensemble_stats(objective, points: Array, mirror_map):
-    """Statistics of an intrinsic-coordinate ensemble (embeds first)."""
-    return objective.stats(mirror_map.embed(points)).stats
+    """Statistics of an (N, m) intrinsic-coordinate ensemble (embeds first)."""
+    return objective.stats(_embed_rows(mirror_map, points)).stats
 
 
 def objective_value(objective, points: Array, mirror_map) -> float:
-    return objective.value(objective.stats(mirror_map.embed(points)))
+    return objective.value(objective.stats(_embed_rows(mirror_map, points)))
 
 
 def first_variation_grad(objective, x: Array, record: Evaluation, mirror_map) -> Array:
@@ -320,8 +337,8 @@ def first_variation_grad(objective, x: Array, record: Evaluation, mirror_map) ->
     must be the evaluation of the ensemble that defines the empirical
     measure.
     """
-    ambient = mirror_map.embed(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    g = mirror_map.pullback(objective.potential_grad(record, ambient))
+    ambient = _embed_rows(mirror_map, np.atleast_2d(x))
+    g = mirror_map.pullback(objective.potential_grad(record, ambient).T).T
     return g[0] if np.asarray(x).ndim == 1 else g.reshape(np.shape(x))
 
 
@@ -335,7 +352,7 @@ def lift_identity_check(objective, points: Array, mirror_map, i: int,
     """
     points = np.asarray(points, dtype=np.float64)
     n, m = points.shape
-    ambient = mirror_map.embed(points)
+    ambient = _embed_rows(mirror_map, points)
     analytic = first_variation_grad(objective, points[i], objective.stats(ambient), mirror_map)
     fd = np.zeros(m)
     for c in range(m):

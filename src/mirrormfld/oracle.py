@@ -261,8 +261,8 @@ def relative_fisher_information(mu: GridMeasure, nu: GridMeasure) -> float:
     with np.errstate(divide="ignore"):
         log_ratio = np.where(wm > 0, np.log(np.where(wm > 0, wm, 1.0)) - np.log(wn), -np.inf)
     grad = _stencil_gradient(grid, log_ratio)
-    hinv = SimplexEntropyMap(ambient_dim=3).inverse_hessian(grid.intrinsic)
-    quad = np.einsum("ni,nij,nj->n", grad, hinv, grad)
+    hinv = SimplexEntropyMap(ambient_dim=3).inverse_hessian(grid.intrinsic.T)
+    quad = np.einsum("ni,ijn,nj->n", grad, hinv, grad)
     return float(np.sum(wm[pos] * quad[pos]))
 
 

@@ -10,6 +10,11 @@ and normals by the inverse normal CDF, so every value consumes exactly one
 word -- which is what makes a block sliceable: any worker can reproduce
 rows [lo, hi) of a block without generating the rest.
 
+Blocks are returned coordinate-first, as C-contiguous (dim, rows) arrays
+to match the mirror sampler's (m, N) state: column i holds particle lo + i's
+values.  The lanes and the words are those of the row-major layout; only
+the arrangement of the output differs.
+
 Consequences: results depend only on (seed, particle index, iteration,
 substep), never on how particles are partitioned across workers, and
 permuting particle indices permutes the draws with them.
@@ -17,7 +22,7 @@ permuting particle indices permutes the draws with them.
 from __future__ import annotations
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 from scipy.special import ndtri
 
 PROTOCOL = "philox4x64-lane-v1"
@@ -33,7 +38,8 @@ def _lane_words(dim: int) -> int:
 
 
 def raw_block(seed: int, iteration: int, substep: int, lo: int, hi: int, dim: int) -> np.ndarray:
-    """Rows [lo, hi) of the (n, dim) uint64 block for (iteration, substep)."""
+    """Particles [lo, hi) of the uint64 block for (iteration, substep), as a
+    (dim, hi - lo) view of their lanes (not contiguous)."""
     if not 0 <= seed <= _MAX_SEED:
         raise ValueError("seed must fit in 64 bits")
     if iteration < 0 or iteration > INIT_ITERATION or substep < 0 or substep >= (1 << 64):
@@ -44,17 +50,21 @@ def raw_block(seed: int, iteration: int, substep: int, lo: int, hi: int, dim: in
     bitgen = Philox(key=seed, counter=(substep << 128) | (iteration << 192))
     if lo:
         bitgen.advance(lo * lane // 4)  # advance counts 4-word counter ticks
-    out = Generator(bitgen).integers(0, 1 << 64, size=(hi - lo, lane),
-                                     dtype=np.uint64, endpoint=False)
-    return out[:, :dim]
+    # the raw words of Generator.integers(0, 2**64), without its dispatch
+    words = bitgen.random_raw((hi - lo) * lane).reshape(hi - lo, lane)
+    return words[:, :dim].T
 
 
 def uniform_block(seed: int, iteration: int, substep: int, lo: int, hi: int, dim: int) -> np.ndarray:
-    """Uniforms strictly inside (0, 1):  ((word >> 11) + 0.5) * 2^-53."""
+    """Uniforms strictly inside (0, 1):  ((word >> 11) + 0.5) * 2^-53, (dim, rows)."""
     raw = raw_block(seed, iteration, substep, lo, hi, dim)
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    raw >>= np.uint64(11)
+    u = np.add(raw, 0.5, out=np.empty(raw.shape))   # exact: the words fit in 53 bits
+    u *= 2.0 ** -53
+    return u
 
 
 def normal_block(seed: int, iteration: int, substep: int, lo: int, hi: int, dim: int) -> np.ndarray:
-    """Standard normals via the inverse CDF (exactly one word per value)."""
-    return ndtri(uniform_block(seed, iteration, substep, lo, hi, dim))
+    """Standard normals via the inverse CDF (exactly one word per value), (dim, rows)."""
+    u = uniform_block(seed, iteration, substep, lo, hi, dim)
+    return ndtri(u, out=u)

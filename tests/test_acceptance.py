@@ -100,16 +100,17 @@ def test_criterion_01_mirror_map_identities():
 
     round_trip = {}
     for name, mm, pts in (("simplex", simplex, pts_s), ("box", box, pts_b)):
-        round_trip[name] = float(np.max(np.abs(mm.backward(mm.forward(pts)) - pts)))
+        # the mirror maps take coordinate-first (m, N) batches
+        round_trip[name] = float(np.max(np.abs(mm.backward(mm.forward(pts.T)) - pts.T)))
         assert round_trip[name] <= 1e-10
 
-        y = rng.uniform(-20, 20, size=(1000, mm.intrinsic_dim))
+        y = rng.uniform(-20, 20, size=(1000, mm.intrinsic_dim)).T
         back = mm.backward(y)
-        err = np.max(np.abs(mm.forward(back) - y), axis=-1)
+        err = np.max(np.abs(mm.forward(back) - y), axis=0)
         if name == "simplex":
             # reduced coordinates cannot encode the pinned coordinate below
             # machine epsilon: the attainable error there is eps/x_d (ledger)
-            smallest = np.min(mm.embed(back), axis=-1)
+            smallest = np.min(mm.embed(back), axis=0)
             assert np.all(err <= np.maximum(1e-8, 8 * np.finfo(float).eps / smallest))
             assert np.max(err[smallest >= 1e-7]) <= 1e-8
         else:
@@ -157,7 +158,7 @@ def test_criterion_02_gradient_oracles():
                 worst = max(worst, dev)
                 assert dev <= 1e-5
                 # gradient magnitude sanity: analytic vs FD relative scale
-                stats = obj.stats(mm.embed(pts))
+                stats = obj.stats(mm.embed(pts.T).T)
                 g = first_variation_grad(obj, pts[i], stats, mm)
                 assert np.all(np.isfinite(g))
     elapsed = time.perf_counter() - t0

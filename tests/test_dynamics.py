@@ -46,41 +46,42 @@ def test_drift_step_composes_geometry_and_objective(simplex3):
     out, _ = run_sampler(ens, simplex3, MeanMatchBarrier(target=Q, beta=0.0), cfg)
     g_ambient = 2 * (np.array([1 / 3, 1 / 3, 1 / 3]) - np.array(Q))
     y = -0.1 * simplex3.pullback(g_ambient)
-    assert np.allclose(out.dual[0], y, atol=1e-14)
+    assert out.dual.shape == (2, 1)
+    assert np.allclose(out.dual[:, 0], y, atol=1e-14)
     assert np.allclose(out.points[0], simplex3.ambient_from_dual(y), atol=1e-14)
 
 
 def test_inner_diffusion_zero_temperature(simplex3):
-    y = np.array([[0.3, -0.2]])
-    out = inner_diffusion(y, simplex3, 0.0, 0.1, 5, lambda s: np.ones((1, 2)))
+    y = np.array([[0.3], [-0.2]])
+    out = inner_diffusion(y, simplex3, 0.0, 0.1, 5, lambda s: np.ones((2, 1)))
     assert np.array_equal(out, y)
 
 
 def test_inner_diffusion_worked_cholesky_kick(simplex3):
     # barycenter, 2*lambda*h = 1, xi = (1, 0): one column of the factor
-    y0 = np.zeros((1, 2))
-    out = inner_diffusion(y0, simplex3, 0.5, 1.0, 1, lambda s: np.array([[1.0, 0.0]]))
-    assert np.allclose(out[0], [np.sqrt(6), 3 / np.sqrt(6)], atol=1e-12)
+    y0 = np.zeros((2, 1))
+    out = inner_diffusion(y0, simplex3, 0.5, 1.0, 1, lambda s: np.array([[1.0], [0.0]]))
+    assert np.allclose(out[:, 0], [np.sqrt(6), 3 / np.sqrt(6)], atol=1e-12)
 
 
 def test_inner_diffusion_covariance(simplex3):
     # Monte Carlo check of the one-substep covariance at run-scale window
     n = 100_000
     scale = 6e-4  # 2 * lambda * h at the shipped preset
-    y0 = np.tile(simplex3.forward(np.array([0.25, 0.45])), (n, 1))
+    y0 = np.tile(simplex3.forward(np.array([0.25, 0.45]))[:, None], (1, n))
     xi = rngstream.normal_block(5, 0, 0, 0, n, 2)
     out = inner_diffusion(y0, simplex3, scale / 2, 1.0, 1, lambda s: xi)
-    sample_cov = np.cov((out - y0).T)
+    sample_cov = np.cov(out - y0)
     expect = scale * simplex3.hessian(np.array([0.25, 0.45]))
     assert np.max(np.abs(sample_cov - expect)) <= 0.03 * np.max(np.abs(expect))
 
 
 def test_inner_diffusion_substep_count_consumes_distinct_draws(simplex3):
-    y0 = np.zeros((4, 2))
+    y0 = np.zeros((2, 4))
     seen = []
     def draw(s):
         seen.append(s)
-        return np.zeros((4, 2))
+        return np.zeros((2, 4))
     inner_diffusion(y0, simplex3, 0.1, 0.2, 3, draw)
     assert seen == [0, 1, 2]
 
@@ -149,7 +150,7 @@ def test_initial_ensemble_ambient_matches_intrinsic(simplex3):
     # which is what the mirror sampler's state entry rebuilds
     ens = initial_ensemble(simplex3, 50, seed=4)
     assert ens.points.shape == (50, 3) and ens.dual is None
-    assert np.allclose(simplex3.embed(ens.points[:, :2]), ens.points)
+    assert np.allclose(simplex3.embed(ens.points[:, :2].T).T, ens.points)
 
 
 def test_initial_ensemble_box():
@@ -170,11 +171,21 @@ def test_zero_steps_returns_unchanged(simplex3):
     out, rows = run_sampler(ens, simplex3, MeanMatchBarrier(target=Q), cfg,
                             diagnostics=lambda e: e.iteration)
     assert rows == [] and out.iteration == ens.iteration
-    assert np.array_equal(out.points, simplex3.embed(ens.points[:, :2]))
-    assert np.array_equal(out.dual, simplex3.forward(ens.points[:, :2]))
+    assert np.array_equal(out.points, simplex3.embed(ens.points[:, :2].T).T)
+    assert np.array_equal(out.dual, simplex3.forward(ens.points[:, :2].T))
+    assert out.points.flags.c_contiguous and out.dual.flags.c_contiguous
     again, rows = run_sampler(out, simplex3, MeanMatchBarrier(target=Q), cfg,
                               diagnostics=lambda e: e.iteration)
     assert rows == [] and again is out
+
+
+def test_dual_is_coordinate_first():
+    # a row-major (N, m) dual from an older layout is rejected, not misread
+    pts = np.full((4, 3), 1 / 3)
+    with pytest.raises(ValueError, match=r"dual must be an \(m, 4\) array"):
+        ParticleEnsemble(points=pts, dual=np.zeros((4, 2)))
+    ens = ParticleEnsemble(points=pts.T.copy().T, dual=np.zeros((4, 2)).T)
+    assert ens.points.flags.c_contiguous and ens.dual.flags.c_contiguous
 
 
 def test_diagnostics_cadence(simplex3):
@@ -228,7 +239,7 @@ def test_particle_permutation_equivariance(simplex3, rng):
     orig = dyn.rngstream.normal_block
     try:
         dyn.rngstream.normal_block = (
-            lambda seed, it, sub, lo, hi, dim: orig(seed, it, sub, 0, 64, dim)[perm][lo:hi])
+            lambda seed, it, sub, lo, hi, dim: orig(seed, it, sub, 0, 64, dim)[:, perm][:, lo:hi])
         permuted_ens = ParticleEnsemble(points=base.points[perm], seed=7)
         stepped_perm, _ = run_sampler(permuted_ens, simplex3, obj, cfg)
     finally:

@@ -1,16 +1,27 @@
 """Identity and accuracy tests for the two mirror maps."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrormfld.errors import ConfigError, DomainViolationError, FactorizationError
 from mirrormfld.geometry import (
     BoxLogBarrierMap,
     SimplexEntropyMap,
+    coordinate_sum,
     make_mirror_map,
     self_concordance_probe,
 )
 
 from conftest import interior_box_points, interior_simplex_points
+
+
+# The mirror maps take coordinate-first (m, N) batches and return dense
+# matrices as (m, m, N); the tests build (N, m) rows and transpose.
+
+def _stack(mats):
+    """An (m, m, N) batch of matrices as an (N, m, m) stack for ``@``."""
+    return np.moveaxis(mats, -1, 0)
 
 
 # -- worked values ----------------------------------------------------------
@@ -62,22 +73,71 @@ def test_embed_and_pullback(simplex3, box2):
     assert np.allclose(box2.embed(np.array([0.5, 0.5])), [0.5, 0.5])
 
 
+# -- sums across coordinates ----------------------------------------------------
+
+_SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e300])
+
+
+def _same_bits(a, b):
+    """Bit-equal, except that NaN payloads (not fixed by IEEE arithmetic) are free."""
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.sampled_from([2, 3, 7, 8, 9, 16, 17, 50, 128, 129, 500]),
+       rows=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       lowest=st.integers(-300, 300), span=st.integers(0, 600),
+       specials=st.lists(st.tuples(st.integers(0, 2000), _SPECIAL), max_size=4))
+def test_coordinate_sum_is_numpy_row_sum_bit_for_bit(d, rows, seed, lowest, span, specials):
+    # normals scaled by powers of ten between 10^lowest and 10^(lowest + span),
+    # capped at 1e300; then a few entries set to inf, NaN, signed zeros or
+    # subnormals
+    rng = np.random.default_rng(seed)
+    exponents = rng.integers(lowest, min(lowest + span, 300) + 1, size=(rows, d))
+    x = rng.standard_normal((rows, d)) * 10.0 ** exponents
+    for pos, value in specials:
+        x.flat[pos % x.size] = value
+    with np.errstate(over="ignore", invalid="ignore"):
+        expect = np.sum(x, axis=-1)
+        assert _same_bits(coordinate_sum(np.ascontiguousarray(x.T)), expect)
+        assert _same_bits(coordinate_sum(x.T), expect)        # strided rows
+        assert _same_bits(coordinate_sum(x[0]), expect[0])    # a single point
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 8, 9, 10, 16, 17, 50, 51, 128, 129, 200, 500, 1000])
+def test_coordinate_sum_of_normals(d):
+    # same-magnitude terms, where any change of summation order shows
+    x = np.random.default_rng(d).standard_normal((64, d))
+    assert _same_bits(coordinate_sum(x.T), np.sum(x, axis=-1))
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 8, 9, 50, 129, 500])
+def test_coordinate_sum_signed_zero(d):
+    # numpy's reduction starts from +0.0, so a row of -0.0 sums to +0.0
+    x = np.full((2, d), -0.0)
+    x[1, 0] = 0.0
+    assert _same_bits(coordinate_sum(x.T), np.sum(x, axis=-1))
+
+
 # -- round trips --------------------------------------------------------------
 
 def test_simplex_round_trip(simplex3, rng):
-    pts = interior_simplex_points(rng, 1000)
+    pts = interior_simplex_points(rng, 1000).T
     err = np.max(np.abs(simplex3.backward(simplex3.forward(pts)) - pts))
     assert err <= 1e-10
 
 
 def test_box_round_trip(box2, rng):
-    pts = interior_box_points(rng, box2, 1000, least=1e-6)
+    pts = interior_box_points(rng, box2, 1000, least=1e-6).T
     err = np.max(np.abs(box2.backward(box2.forward(pts)) - pts))
     assert err <= 1e-10
 
 
 def test_box_dual_round_trip(box2, rng):
-    y = rng.uniform(-20, 20, size=(1000, 2))
+    y = rng.uniform(-20, 20, size=(1000, 2)).T
     err = np.max(np.abs(box2.forward(box2.backward(y)) - y))
     assert err <= 1e-8
 
@@ -87,10 +147,10 @@ def test_simplex_dual_round_trip(simplex3, rng):
     # machine epsilon, so the attainable error is eps / x_d; the 1e-8 target
     # applies wherever the point is representable (x_d >= 1e-7) and the
     # machine envelope is asserted everywhere.
-    y = rng.uniform(-20, 20, size=(1000, 2))
+    y = rng.uniform(-20, 20, size=(1000, 2)).T
     back = simplex3.backward(y)
-    err = np.max(np.abs(simplex3.forward(back) - y), axis=-1)
-    smallest = np.min(simplex3.embed(back), axis=-1)
+    err = np.max(np.abs(simplex3.forward(back) - y), axis=0)
+    smallest = np.min(simplex3.embed(back), axis=0)
     assert np.all(err <= np.maximum(1e-8, 8 * np.finfo(float).eps / smallest))
     conditioned = smallest >= 1e-7
     assert conditioned.sum() > 400
@@ -99,7 +159,7 @@ def test_simplex_dual_round_trip(simplex3, rng):
 
 def test_ambient_from_dual_tracks_extreme_points(simplex3):
     y = np.array([[40.0, -10.0], [300.0, 299.0], [-200.0, -100.0]])
-    amb = simplex3.ambient_from_dual(y)
+    amb = simplex3.ambient_from_dual(y.T).T
     assert np.all(amb > 0)
     assert np.allclose(amb.sum(axis=1), 1.0)
     # pinned coordinate keeps relative accuracy far below machine epsilon
@@ -132,10 +192,11 @@ def test_hessian_inverse_identity(simplex3, box2, rng):
     # product check H(x) dual_hessian(forward(x)) = I at random interior x
     for mm, pts in ((simplex3, interior_simplex_points(rng, 200)),
                     (box2, interior_box_points(rng, box2, 200, least=1e-3))):
-        h = mm.hessian(pts)
+        pts = pts.T
+        h = _stack(mm.hessian(pts))
         eye = np.eye(mm.intrinsic_dim)
-        assert np.max(np.abs(h @ mm.inverse_hessian(pts) - eye)) <= 1e-8
-        assert np.max(np.abs(h @ mm.dual_hessian(mm.forward(pts)) - eye)) <= 1e-8
+        assert np.max(np.abs(h @ _stack(mm.inverse_hessian(pts)) - eye)) <= 1e-8
+        assert np.max(np.abs(h @ _stack(mm.dual_hessian(mm.forward(pts))) - eye)) <= 1e-8
 
 
 def test_dual_hessian_from_backward_differences(simplex3, rng):
@@ -157,7 +218,7 @@ def test_dual_hessian_from_backward_differences(simplex3, rng):
 def test_gradient_map_monotone(simplex3, rng):
     pts = interior_simplex_points(rng, 400)
     a, b = pts[:200], pts[200:]
-    inner = np.sum((simplex3.forward(a) - simplex3.forward(b)) * (a - b), axis=1)
+    inner = np.sum((simplex3.forward(a.T) - simplex3.forward(b.T)) * (a - b).T, axis=0)
     assert np.all(inner > 0)
 
 
@@ -165,7 +226,7 @@ def test_factor_reproduces_scaled_hessian(simplex3, box2, rng):
     for mm, pts in ((simplex3, interior_simplex_points(rng, 300)),
                     (box2, interior_box_points(rng, box2, 300, least=1e-4))):
         for scale in (1.0, 0.37, 2e-4):
-            h, ell = mm.metric(pts, scale)
+            h, ell = map(_stack, mm.metric(pts.T, scale))
             err = np.abs(ell @ np.swapaxes(ell, -1, -2) - scale * h)
             assert np.max(err / np.maximum(scale * np.abs(h).max(axis=(-1, -2),
                                                            keepdims=True), 1e-300)) <= 1e-12
@@ -174,6 +235,7 @@ def test_factor_reproduces_scaled_hessian(simplex3, box2, rng):
 def test_metric_from_dual_matches_metric(simplex3, box2, rng):
     for mm, pts in ((simplex3, interior_simplex_points(rng, 100)),
                     (box2, interior_box_points(rng, box2, 100, least=1e-3))):
+        pts = pts.T
         y = mm.forward(pts)
         h1, l1 = mm.metric(pts, 0.7)
         h2, l2 = mm.metric_from_dual(y, 0.7)
@@ -184,7 +246,7 @@ def test_metric_from_dual_matches_metric(simplex3, box2, rng):
 def test_rank_one_cholesky_survives_extreme_conditioning(simplex3):
     # pinned coordinate ~1e-40: LAPACK's generic factorization fails here
     y = np.array([[46.0, 45.0]])
-    h, ell = simplex3.metric_from_dual(y, 6e-4)
+    h, ell = map(_stack, simplex3.metric_from_dual(y.T, 6e-4))
     assert np.all(np.isfinite(ell))
     prod = ell @ np.swapaxes(ell, -1, -2)
     assert np.allclose(prod, 6e-4 * h, rtol=1e-10)
@@ -193,7 +255,8 @@ def test_rank_one_cholesky_survives_extreme_conditioning(simplex3):
 # -- matrix-free kicks against the dense factor -------------------------------
 
 def _dense_kick(mm, y, scale, xi):
-    _, ell = mm.metric_from_dual(y, scale)
+    """The dense factor of (N, m) rows and its kick L xi, as (N, m, m) and (N, m)."""
+    ell = _stack(mm.metric_from_dual(y.T, scale)[1])
     return ell, np.einsum("...ij,...j->...i", ell, xi)
 
 
@@ -209,7 +272,7 @@ def test_simplex_kick_matches_dense_factor(dim, rng):
     xi = rng.standard_normal(y.shape)
     mm = SimplexEntropyMap(ambient_dim=dim)
     ell, dense = _dense_kick(mm, y, 6e-4, xi)
-    got = mm.diffusion_substep(y, 6e-4, xi)
+    got = mm.diffusion_substep(y.T, 6e-4, xi.T).T
     if dim == 3:
         assert np.array_equal(got, y + dense)
     else:
@@ -221,8 +284,8 @@ def test_box_kick_matches_dense_factor_bit_for_bit(box2, rng):
     y = rng.uniform(-1e3, 1e3, size=(500, 2))
     xi = rng.standard_normal(y.shape)
     _, dense = _dense_kick(box2, y, 6e-4, xi)
-    assert np.array_equal(box2.diffusion_substep(y, 6e-4, xi), y + dense)
-    assert np.array_equal(box2.diffusion_substep(y, 6e-4, xi, step_cap=4.0),
+    assert np.array_equal(box2.diffusion_substep(y.T, 6e-4, xi.T).T, y + dense)
+    assert np.array_equal(box2.diffusion_substep(y.T, 6e-4, xi.T, step_cap=4.0).T,
                           y + np.clip(dense, -4.0, 4.0))
 
 

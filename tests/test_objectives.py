@@ -94,7 +94,7 @@ def test_network_zero_residual_zero_value(param_box):
 def test_linear_potential_average(simplex3, rng):
     obj = LinearPotential(alpha=(2.0, 2.0, 2.0), reference_temperature=0.1)
     pts = interior_simplex_points(rng, 32)
-    amb = simplex3.embed(pts)
+    amb = simplex3.embed(pts.T).T
     expect = float(np.mean(-0.1 * np.sum(np.log(amb), axis=1)))
     assert objective_value(obj, pts, simplex3) == pytest.approx(expect, rel=1e-12)
 
@@ -103,6 +103,39 @@ def test_constant_potential_is_zero():
     obj = LinearPotential(alpha=(1.0, 1.0, 1.0), reference_temperature=0.5)
     pts = np.array([[0.2, 0.3], [0.6, 0.2]])
     assert np.allclose(obj.potential(obj.stats(np.column_stack([pts, 1 - pts.sum(1)]))), 0.0)
+
+
+@pytest.mark.parametrize("alpha", [(2.0, 1.0, 0.5), (1.0, 1.0, 1.0), (3.0,) * 50],
+                         ids=["mixed", "off", "d50"])
+def test_linear_potential_columns_match_masked_broadcast(alpha, rng):
+    # the column-wise oracles against the masked broadcast they replaced,
+    # bit for bit, signed zeros of switched-off coordinates included
+    obj = LinearPotential(alpha=alpha, reference_temperature=0.1)
+    coef = obj._coef
+    amb = rng.dirichlet(np.ones(len(alpha)), size=257)
+    if not np.any(coef):
+        amb[:5, -1] = 0.0    # switched off everywhere: zeros are allowed
+    record = obj.stats(amb)
+    with np.errstate(divide="ignore"):
+        grad = -coef * np.where(coef == 0.0, 0.0, 1.0 / amb)
+        pot = -np.where(coef == 0.0, 0.0, np.log(amb)) @ coef
+    assert obj.potential_grad(record).tobytes() == grad.tobytes()
+    assert np.signbit(obj.potential_grad(record)).tolist() == np.signbit(grad).tolist()
+    assert obj.potential(record).tobytes() == pot.tobytes()
+    assert obj.potential_grad(record.rows(3, 9)).tobytes() == grad[3:9].tobytes()
+
+
+@pytest.mark.parametrize("d", [3, 9, 50])
+def test_barrier_log_sum_matches_row_sum(d, rng):
+    # the barrier's sum over coordinates reproduces np.sum along the rows
+    q = np.full(d, 1.0 / d)
+    obj = MeanMatchBarrier(target=tuple(q), beta=1e-3)
+    amb = rng.dirichlet(np.full(d, 0.3), size=301)
+    record = obj.stats(amb)
+    logs = np.sum(np.log(amb), axis=-1)
+    diff = record.stats - q
+    assert obj.value(record) == float(diff @ diff) - 1e-3 * float(np.full(301, 1 / 301) @ logs)
+    assert obj.potential(record).tobytes() == (2.0 * amb @ diff - 1e-3 * logs).tobytes()
 
 
 def test_barrier_requires_interior(simplex3):
@@ -137,8 +170,8 @@ def _fd_potential_grad(obj, x, record, mm, h=1e-6):
     for c in range(x.size):
         e = np.zeros_like(x)
         e[c] = h
-        up = obj.potential(record, mm.embed((x + e)[None, :]))[0]
-        dn = obj.potential(record, mm.embed((x - e)[None, :]))[0]
+        up = obj.potential(record, mm.embed(x + e)[None, :])[0]
+        dn = obj.potential(record, mm.embed(x - e)[None, :])[0]
         out[c] = (up - dn) / (2 * h)
     return out
 
@@ -146,7 +179,7 @@ def _fd_potential_grad(obj, x, record, mm, h=1e-6):
 def test_gradient_matches_potential_differences(simplex3, rng):
     obj = MeanMatchBarrier(target=Q, beta=1e-4)
     pts = interior_simplex_points(rng, 10, least=0.05)
-    record = obj.stats(simplex3.embed(pts))
+    record = obj.stats(simplex3.embed(pts.T).T)
     for x in pts:
         g = first_variation_grad(obj, x, record, simplex3)
         fd = _fd_potential_grad(obj, x, record, simplex3)
@@ -187,7 +220,7 @@ def test_positivity_scan_runs_once_per_record(obj, simplex3, rng, monkeypatch):
     scan = objectives._require_positive
     monkeypatch.setattr(objectives, "_require_positive",
                         lambda amb, what: scans.append(amb.shape) or scan(amb, what))
-    amb = simplex3.embed(interior_simplex_points(rng, 6, least=0.05))
+    amb = simplex3.embed(interior_simplex_points(rng, 6, least=0.05).T).T
     record = obj.stats(amb)
     obj.value(record)
     obj.potential(record)

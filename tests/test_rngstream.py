@@ -16,7 +16,8 @@ def test_slices_match_full_block(dim):
     full = rngstream.normal_block(123, 9, 2, 0, 64, dim)
     for lo, hi in ((0, 64), (7, 13), (63, 64), (32, 64)):
         part = rngstream.normal_block(123, 9, 2, lo, hi, dim)
-        assert np.array_equal(full[lo:hi], part)
+        assert part.shape == (dim, hi - lo) and part.flags.c_contiguous
+        assert np.array_equal(full[:, lo:hi], part)
 
 
 def test_distinct_keys_decorrelate():

@@ -1,11 +1,12 @@
 """Experiment driver: files, schema, determinism, comparison."""
 import csv
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from mirrormfld.config import figure1_config, parse_config
+from mirrormfld.config import dirichlet_config, figure1_config, parse_config
 from mirrormfld.errors import MismatchedObjectiveError
 from mirrormfld.geometry import SimplexEntropyMap
 from mirrormfld.runner import (
@@ -117,6 +118,47 @@ def test_metrics_golden_file(tmp_path):
         assert row[0] == grow[0]
         for g, v in zip(grow[1:-1], row[1:-1]):  # wall_ms excluded
             assert float(v) == pytest.approx(float(g), abs=1e-12)
+
+
+# sha256 of the metrics CSV minus its wall_ms column, seed 0.  The golden file
+# covers d = 3 within 1e-12; these pin every byte at d = 50 (alpha = 0.5
+# drives particles into the near-face redraw) and on the network-risk box.
+# Bit-exactness is promised per platform and build, like the golden file.
+PINNED_DIGESTS = {
+    "simplex-d50": "202853d5990d1e0f2c9aec53324c4434066da8335f30e4fb5397e559d303822e",
+    "simplex-d50-faces": "eb97da5f2bed8df4bbf56b72ea8003c81fa52c453377fd9c3b5fc538e22dce9c",
+    "netrisk-box": "ebf6ff510a0acee9e7b7dbf888fec5dfce10e940be7d37d890e9f62b0a353a9c",
+}
+
+
+def _pinned_config(name, tmp_path):
+    if name.startswith("simplex-d50"):
+        alpha = 0.5 if name.endswith("faces") else 2.0
+        raw = dirichlet_config(alpha=(alpha,) * 50, particles=500, steps=40, seed=0,
+                               out_dir=str(tmp_path))
+        raw["diagnostics"]["every"] = 5
+        return raw
+    # criterion 8's problem: a tanh network on two rings of 8 points
+    theta = np.arange(8) * np.pi / 4
+    ring = np.column_stack([np.cos(theta), np.sin(theta)])
+    data = tmp_path / "two_rings.csv"
+    data.write_text("z0,z1,y\n" + "".join(f"{float(a)!r},{float(b)!r},0.0\n"
+                                          for a, b in np.concatenate([0.7 * ring, 1.4 * ring])))
+    return {"domain": {"kind": "box", "bounds": [[-3.0, 3.0]] * 3},
+            "objective": {"kind": "mf-network-risk", "dataset": str(data),
+                          "parameter_bound": 3.0},
+            "sampler": {"kind": "mmfld", "eta": 0.1, "lambda": 0.1, "substeps": 1,
+                        "steps": 100, "particles": 500},
+            "seed": 0, "output": {"dir": str(tmp_path), "dump_particles": False},
+            "diagnostics": {"every": 1, "boundary_epsilon": 1e-3}}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_metrics_csv_pinned_bytes(tmp_path, name):
+    res = run_experiment(parse_config(json.dumps(_pinned_config(name, tmp_path))))
+    text = res.metrics_path.read_text(encoding="utf-8")
+    stripped = "\n".join(line.rsplit(",", 1)[0] for line in text.splitlines())
+    assert hashlib.sha256(stripped.encode()).hexdigest() == PINNED_DIGESTS[name]
 
 
 def test_dump_particles(tmp_path):
