@@ -23,7 +23,6 @@ from .dynamics import (  # noqa: F401
 from .geometry import (  # noqa: F401
     BoxLogBarrierMap,
     SimplexEntropyMap,
-    make_mirror_map,
     self_concordance_probe,
 )
 from .objectives import (  # noqa: F401

@@ -31,10 +31,9 @@ EXIT_RUNTIME = 3
 def _load_run_config(args) -> config_mod.RunConfig:
     if bool(args.config) == bool(args.preset):
         raise ConfigError(["provide exactly one of a config file or --preset"])
-    source = args.config
-    if args.preset:
-        overrides = {"paper_scale": True} if args.paper_scale else {}
-        source = config_mod.preset_config(args.preset, **overrides)
+    if args.workers < 1:
+        raise ConfigError([f"--workers must be >= 1 (got {args.workers})"])
+    source = config_mod.preset_config(args.preset) if args.preset else args.config
     return _apply_overrides(config_mod.parse_config(source), args)
 
 
@@ -44,7 +43,7 @@ def _apply_overrides(cfg: config_mod.RunConfig, args) -> config_mod.RunConfig:
         raw["seed"] = args.seed
     if getattr(args, "particles", None) is not None:
         raw["sampler"]["particles"] = args.particles
-    elif getattr(args, "paper_scale", False) and not args.preset:
+    elif getattr(args, "paper_scale", False):
         raw["sampler"]["particles"] = config_mod.PAPER_PARTICLES
     if getattr(args, "steps", None) is not None:
         raw["sampler"]["steps"] = args.steps
@@ -75,7 +74,7 @@ def _cmd_oracle(args) -> int:
         grid, objective, cfg.sampler.temperature, damping=cfg.oracle.damping,
         tol=cfg.oracle.tol, max_iter=cfg.oracle.max_iter)
     payload = oracle.export_solution(grid, objective, cfg.sampler.temperature, result)
-    out_dir = Path(args.out_dir or cfg.out_dir)
+    out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "oracle.json"
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

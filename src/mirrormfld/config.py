@@ -28,6 +28,10 @@ Schema (defaults in brackets)::
 
 The network dataset CSV holds feature columns followed by one label column;
 its parameters live in the box [-parameter_bound, parameter_bound]^(p+1).
+
+``PRESETS`` build raw dictionaries of the paper's experiments at desk
+scale.  The paper's scale is one override, ``PAPER_PARTICLES``, which the
+CLI's ``--paper-scale`` applies after any preset or file is loaded.
 """
 from __future__ import annotations
 
@@ -35,11 +39,13 @@ import difflib
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from . import rngstream
+from .dynamics import SAMPLERS
 from .errors import ConfigError
-from .geometry import make_mirror_map
+from .geometry import BoxLogBarrierMap, SimplexEntropyMap
 from .objectives import LinearPotential, MeanMatchBarrier, NetworkRisk, load_dataset
 
 
@@ -194,7 +200,6 @@ class _Checker:
 
 
 TOP_KEYS = ("domain", "objective", "sampler", "seed", "output", "diagnostics", "oracle")
-MAX_SEED = (1 << 64) - 1
 
 
 def _parse_domain(chk, raw):
@@ -257,8 +262,9 @@ def _parse_sampler(chk, raw):
     raw = chk.section(raw, "sampler",
                       ("kind", "eta", "lambda", "substeps", "steps", "particles"))
     kind = chk.value(raw, "sampler", "kind", str, default="mmfld")
-    if kind not in ("mmfld", "projected-mfld", "mfld"):
-        chk.fail(f"'sampler.kind' must be mmfld, projected-mfld or mfld (got {kind!r})")
+    if kind not in SAMPLERS:
+        chk.fail(f"'sampler.kind' must be {', '.join(SAMPLERS[:-1])} or {SAMPLERS[-1]} "
+                 f"(got {kind!r})")
         kind = "mmfld"
     eta = chk.value(raw, "sampler", "eta", float, required=True, exclusive_minimum=0.0)
     lam = chk.value(raw, "sampler", "lambda", float, required=True, minimum=0.0)
@@ -322,7 +328,7 @@ def parse_config(source) -> RunConfig:
     sampler = _parse_sampler(chk, raw.get("sampler", {}))
     _cross_checks(chk, domain, objective, sampler)
 
-    seed = chk.value(raw, "", "seed", int, default=0, minimum=0, maximum=MAX_SEED)
+    seed = chk.value(raw, "", "seed", int, default=0, minimum=0, maximum=rngstream.MAX_SEED)
     out = chk.section(raw.get("output", {}), "output", ("dir", "dump_particles"))
     out_dir = chk.value(out, "output", "dir", str, default="out")
     dump = chk.value(out, "output", "dump_particles", bool, default=False)
@@ -331,17 +337,14 @@ def parse_config(source) -> RunConfig:
     every = chk.value(diag, "diagnostics", "every", int, default=1, minimum=1)
     eps = chk.value(diag, "diagnostics", "boundary_epsilon", float, default=1e-3,
                     exclusive_minimum=0.0)
-    orc = chk.section(raw.get("oracle", {}), "oracle",
-                      ("resolution", "margin", "damping", "tol", "max_iter"))
-    oracle = OracleSpec(
-        resolution=chk.value(orc, "oracle", "resolution", int, default=64, minimum=8),
-        margin=chk.value(orc, "oracle", "margin", float, default=1e-4,
-                         exclusive_minimum=0.0),
-        damping=chk.value(orc, "oracle", "damping", float, default=0.5,
-                          exclusive_minimum=0.0, maximum=1.0),
-        tol=chk.value(orc, "oracle", "tol", float, default=1e-8, exclusive_minimum=0.0),
-        max_iter=chk.value(orc, "oracle", "max_iter", int, default=10_000, minimum=1),
-    )
+    limits = {"resolution": {"minimum": 8}, "margin": {"exclusive_minimum": 0.0},
+              "damping": {"exclusive_minimum": 0.0, "maximum": 1.0},
+              "tol": {"exclusive_minimum": 0.0}, "max_iter": {"minimum": 1}}
+    orc = chk.section(raw.get("oracle", {}), "oracle", tuple(limits))
+    # the defaults, and with them each value's type, are OracleSpec's
+    oracle = OracleSpec(**{f.name: chk.value(orc, "oracle", f.name, type(f.default),
+                                             default=f.default, **limits[f.name])
+                           for f in fields(OracleSpec)})
 
     if chk.errors:
         raise ConfigError(chk.errors)
@@ -352,8 +355,8 @@ def parse_config(source) -> RunConfig:
 
 def build_mirror_map(config: RunConfig):
     if config.domain.kind == "simplex":
-        return make_mirror_map("simplex-entropy", ambient_dim=config.domain.dim)
-    return make_mirror_map("box-log-barrier", bounds=config.domain.bounds)
+        return SimplexEntropyMap(ambient_dim=config.domain.dim)
+    return BoxLogBarrierMap(bounds=config.domain.bounds)
 
 
 def build_objective(config: RunConfig):
@@ -384,14 +387,14 @@ PAPER_PARTICLES = 50_000
 
 
 def figure1_config(beta: float = 0.0, *, sampler: str = "mmfld", seed: int = 0,
-                   paper_scale: bool = False, particles: int | None = None,
-                   steps: int = 2000, out_dir: str = "out") -> dict:
+                   particles: int = DESK_PARTICLES, steps: int = 2000,
+                   out_dir: str = "out") -> dict:
     """Simplex mean-matching experiment preset (raw config dictionary).
 
-    Desk scale runs 10k particles; ``paper_scale`` restores the full 50k.
+    Desk scale runs 10k particles; the paper's full scale is
+    ``particles=PAPER_PARTICLES`` (50k), which ``mirrormfld run
+    --paper-scale`` sets on any preset or config file.
     """
-    if particles is None:
-        particles = PAPER_PARTICLES if paper_scale else DESK_PARTICLES
     return {
         "domain": {"kind": "simplex", "dim": 3},
         "objective": {"kind": "mean-match-barrier", "q": list(FIGURE1_TARGET),
@@ -401,8 +404,6 @@ def figure1_config(beta: float = 0.0, *, sampler: str = "mmfld", seed: int = 0,
         "seed": seed,
         "output": {"dir": out_dir, "dump_particles": False},
         "diagnostics": {"every": 1, "boundary_epsilon": 1e-3},
-        "oracle": {"resolution": 64, "margin": 1e-4, "damping": 0.5,
-                   "tol": 1e-8, "max_iter": 10_000},
     }
 
 

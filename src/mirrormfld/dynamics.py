@@ -31,6 +31,7 @@ reproduces a run bit-for-bit on the same platform.
 """
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -71,8 +72,9 @@ class SamplerConfig:
     def __post_init__(self):
         if self.sampler not in SAMPLERS:
             raise ValueError(f"unknown sampler {self.sampler!r}")
-        if self.eta < 0 or self.temperature < 0:
-            raise ValueError("eta and temperature must be nonnegative")
+        for name, value in (("eta", self.eta), ("temperature", self.temperature)):
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative (got {value!r})")
         if self.substeps < 1 or self.steps < 0:
             raise ValueError("substeps must be >= 1 and steps >= 0")
 
@@ -296,6 +298,8 @@ def run_sampler(ensemble: ParticleEnsemble, mirror_map, objective, cfg: SamplerC
     with the offending iteration attached.  The result is deterministic for
     fixed (seed, N, steps, substeps, sampler) and any worker count.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1 (got {workers})")
     step = _mirror_iteration if cfg.sampler == "mmfld" else euclidean_step
     if cfg.sampler == "mmfld" and ensemble.dual is None:
         x = np.ascontiguousarray(ensemble.points[:, :mirror_map.intrinsic_dim].T)

@@ -141,6 +141,17 @@ def _diag_rank_one_factor(diag, bump, what):
     return root.reshape(shape), col.reshape(shape)
 
 
+def _gap_curvature(lo_gap, hi_gap):
+    """The box Hessian diagonal 1/lo_gap^2 + 1/hi_gap^2, computed in place:
+    both gap arrays are overwritten and the result is lo_gap."""
+    lo_gap *= lo_gap
+    np.divide(1.0, lo_gap, out=lo_gap)
+    hi_gap *= hi_gap
+    np.divide(1.0, hi_gap, out=hi_gap)
+    lo_gap += hi_gap
+    return lo_gap
+
+
 def _diag_root(d, scale):
     """sqrt(scale * d), the diagonal factor of scale * diag(d)."""
     sd = scale * d
@@ -429,14 +440,13 @@ class BoxLogBarrierMap:
         lo, hi = _column(self._lo, y), _column(self._hi, y)
         return np.where(y * (hi - lo) <= 0.0, lo + lo_gap, hi - hi_gap)
 
-    def ambient_from_dual(self, y: Array) -> Array:
-        return self.backward(y)
+    ambient_from_dual = backward
 
     # -- Hessian metric ---------------------------------------------------
 
     def hessian_diagonal(self, x: Array) -> Array:
         x = self.require_interior(x, "hessian input")
-        return 1.0 / (x - _column(self._lo, x)) ** 2 + 1.0 / (_column(self._hi, x) - x) ** 2
+        return _gap_curvature(x - _column(self._lo, x), _column(self._hi, x) - x)
 
     def hessian(self, x: Array) -> Array:
         return _diag_matrix(self.hessian_diagonal(x))
@@ -449,13 +459,7 @@ class BoxLogBarrierMap:
 
     def _hessian_diagonal_from_dual(self, y: Array) -> Array:
         """hessian_diagonal(backward(y)), with wall gaps taken stably from y."""
-        lo_gap, hi_gap = self._wall_gaps(y)
-        lo_gap *= lo_gap
-        np.divide(1.0, lo_gap, out=lo_gap)
-        hi_gap *= hi_gap
-        np.divide(1.0, hi_gap, out=hi_gap)
-        lo_gap += hi_gap
-        return lo_gap
+        return _gap_curvature(*self._wall_gaps(y))
 
     def _metric_from_diagonal(self, d: Array, scale: float) -> tuple[Array, Array]:
         if scale < 0:
@@ -507,22 +511,6 @@ class BoxLogBarrierMap:
         return min(bounds)
 
 
-MirrorMap = SimplexEntropyMap | BoxLogBarrierMap
-
-
-def make_mirror_map(kind: str, *, ambient_dim: int | None = None, bounds=None) -> MirrorMap:
-    """Construct one of the shipped mirror maps from plain parameters."""
-    if kind == "simplex-entropy":
-        if ambient_dim is None:
-            raise ConfigError("simplex-entropy map needs ambient_dim")
-        return SimplexEntropyMap(ambient_dim=ambient_dim)
-    if kind == "box-log-barrier":
-        if bounds is None:
-            raise ConfigError("box-log-barrier map needs bounds")
-        return BoxLogBarrierMap(bounds=tuple(map(tuple, bounds)))
-    raise ConfigError(f"unknown mirror map kind {kind!r}")
-
-
 def _quadratic_form_curve(mirror_map, x, u, conjugate):
     if conjugate:
         def q(s):
@@ -535,8 +523,7 @@ def _quadratic_form_curve(mirror_map, x, u, conjugate):
     return q
 
 
-def self_concordance_probe(mirror_map, x, u, *, conjugate: bool = False,
-                           step_fraction: float = 1e-3) -> float:
+def self_concordance_probe(mirror_map, x, u, *, conjugate: bool = False) -> float:
     """Estimate the self-concordance parameter of the barrier along (x, u).
 
     Returns ``|D^3 phi(x)[u,u,u]| / (2 <u, H(x) u>^{3/2})`` where the third
@@ -546,8 +533,8 @@ def self_concordance_probe(mirror_map, x, u, *, conjugate: bool = False,
     and H its dual Hessian.  Both variants are exposed because the two sides
     of the inequality can be stated with either barrier; callers can compare.
 
-    The step is ``step_fraction`` times the distance to the boundary along u
-    (primal probe) or times ``(1 + |x|)/|u|`` (dual probe, unconstrained).
+    The step is 1e-3 times the distance to the boundary along u (primal
+    probe) or times ``(1 + |x|)/|u|`` (dual probe, unconstrained).
     """
     x = np.asarray(x, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
@@ -560,7 +547,7 @@ def self_concordance_probe(mirror_map, x, u, *, conjugate: bool = False,
         dist = (1.0 + float(np.linalg.norm(x))) / norm_u
     else:
         dist = mirror_map.boundary_distance_along(x, u)
-    h = step_fraction * dist
+    h = 1e-3 * dist
     # stencil reaches x +/- 2h u; h = 1e-3 * dist keeps it safely interior
     q = _quadratic_form_curve(mirror_map, x, u, conjugate)
     third = (-q(2 * h) + 8.0 * q(h) - 8.0 * q(-h) + q(-2 * h)) / (12.0 * h)

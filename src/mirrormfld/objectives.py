@@ -342,14 +342,15 @@ def first_variation_grad(objective, x: Array, record: Evaluation, mirror_map) ->
     return g[0] if np.asarray(x).ndim == 1 else g.reshape(np.shape(x))
 
 
-def lift_identity_check(objective, points: Array, mirror_map, i: int,
-                        step: float = 1e-5) -> float:
+def lift_identity_check(objective, points: Array, mirror_map, i: int) -> float:
     """Verify N * d/dx^i F(mu_X) == grad dF/dmu (x^i) by central differences.
 
     Returns the max componentwise deviation between the two sides.  Test
     helper: the finite-difference side recomputes the whole lifted value,
-    statistics included, at every probe, so it is exact up to O(step^2).
+    statistics included, at every probe of step 1e-5, so it is exact up
+    to O(step^2).
     """
+    step = 1e-5
     points = np.asarray(points, dtype=np.float64)
     n, m = points.shape
     ambient = _embed_rows(mirror_map, points)

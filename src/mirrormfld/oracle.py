@@ -165,9 +165,9 @@ def optimality_residual(grid: SimplexGrid, objective, mu: GridMeasure,
 
 def fixed_point_solve(grid: SimplexGrid, objective, temperature: float,
                       damping: float = 0.5, tol: float = 1e-8,
-                      max_iter: int = 10_000, start: GridMeasure | None = None,
-                      ) -> FixedPointResult:
-    """Damped self-consistency iteration mu <- (1-tau) mu + tau gibbs(mu).
+                      max_iter: int = 10_000) -> FixedPointResult:
+    """Damped self-consistency iteration mu <- (1-tau) mu + tau gibbs(mu),
+    started from the uniform measure.
 
     Stops when the sup relative density change drops below ``tol``.  Raises
     ``NonConvergenceError`` carrying the last residual when the budget runs
@@ -178,7 +178,7 @@ def fixed_point_solve(grid: SimplexGrid, objective, temperature: float,
         raise ValueError("damping must lie in (0, 1]")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    mu = uniform_measure(grid) if start is None else start
+    mu = uniform_measure(grid)
     history = []
     for it in range(1, max_iter + 1):
         gibbs = proximal_gibbs(grid, objective, mu, temperature)
@@ -280,12 +280,12 @@ class SandwichResult:
 
 
 def entropy_sandwich_check(grid: SimplexGrid, objective, temperature: float,
-                           mu: GridMeasure, solution: GridMeasure | None = None,
-                           tol_scale: float = 1e-3) -> SandwichResult:
+                           mu: GridMeasure,
+                           solution: GridMeasure | None = None) -> SandwichResult:
     """Check lambda*KL(mu||mu*) <= L(mu) - L(mu*) <= lambda*KL(mu||mu_hat).
 
     ``solution`` is the fixed-point minimizer (solved here when omitted).
-    The tolerance is ``tol_scale * max(1, |middle|)``, absorbing fixed-point
+    The tolerance is ``1e-3 * max(1, |middle|)``, absorbing fixed-point
     residual and roundoff; the inequality itself is exact on the grid.
     """
     if solution is None:
@@ -295,7 +295,7 @@ def entropy_sandwich_check(grid: SimplexGrid, objective, temperature: float,
               - grid_functionals(grid, objective, solution, temperature).free_energy)
     gibbs = proximal_gibbs(grid, objective, mu, temperature)
     upper = temperature * kl_divergence(mu, gibbs)
-    tol = tol_scale * max(1.0, abs(middle))
+    tol = 1e-3 * max(1.0, abs(middle))
     passed = (lower <= middle + tol) and (middle <= upper + tol)
     return SandwichResult(lower=lower, middle=middle, upper=upper, passed=bool(passed))
 

@@ -30,7 +30,7 @@ PROTOCOL = "philox4x64-lane-v1"
 # iteration word reserved for initial-condition draws; sampler iterations
 # are validated to stay below it
 INIT_ITERATION = 1 << 62
-_MAX_SEED = (1 << 64) - 1
+MAX_SEED = (1 << 64) - 1
 
 
 def _lane_words(dim: int) -> int:
@@ -40,7 +40,7 @@ def _lane_words(dim: int) -> int:
 def raw_block(seed: int, iteration: int, substep: int, lo: int, hi: int, dim: int) -> np.ndarray:
     """Particles [lo, hi) of the uint64 block for (iteration, substep), as a
     (dim, hi - lo) view of their lanes (not contiguous)."""
-    if not 0 <= seed <= _MAX_SEED:
+    if not 0 <= seed <= MAX_SEED:
         raise ValueError("seed must fit in 64 bits")
     if iteration < 0 or iteration > INIT_ITERATION or substep < 0 or substep >= (1 << 64):
         raise ValueError("iteration/substep outside the counter layout")

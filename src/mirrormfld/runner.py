@@ -124,14 +124,13 @@ class RunResult:
     ensemble: ParticleEnsemble
 
 
-def run_experiment(config: RunConfig, *, workers: int = 1,
-                   label: str | None = None) -> RunResult:
+def run_experiment(config: RunConfig, *, workers: int = 1) -> RunResult:
     """Execute one configured run and write its artifacts.
 
     Outputs land in ``config.out_dir`` as ``<label>_metrics.csv``,
-    ``<label>_summary.json`` and optionally ``<label>_particles.csv``; the
-    default label is ``<sampler>_seed<seed>``.  Output is written only
-    after the full run succeeds, so no partial summary is left behind.
+    ``<label>_summary.json`` and optionally ``<label>_particles.csv``, with
+    label ``<sampler>_seed<seed>``.  Output is written only after the full
+    run succeeds, so no partial summary is left behind.
     """
     mirror_map = build_mirror_map(config)
     objective = build_objective(config)
@@ -150,7 +149,7 @@ def run_experiment(config: RunConfig, *, workers: int = 1,
     final = rows[-1] if rows else record(ensemble)
     summary = {
         "version": __version__,
-        "label": label or f"{spec.kind}_seed{config.seed}",
+        "label": f"{spec.kind}_seed{config.seed}",
         "sampler": spec.kind,
         "seed": config.seed,
         "iterations": ensemble.iteration,
@@ -215,5 +214,13 @@ def compare_runs(*summaries: dict) -> dict:
 
 
 def load_summary(path) -> dict:
+    """Read a run summary; the ``ValueError`` for any other JSON names the
+    file and the first key it lacks."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        summary = json.load(fh)
+    for key in ("sampler", "seed", "final_objective", "final_boundary_fraction", "config"):
+        if not isinstance(summary, dict) or key not in summary:
+            raise ValueError(f"{path}: not a run summary (missing key {key!r})")
+    if not isinstance(summary["config"], dict) or "objective" not in summary["config"]:
+        raise ValueError(f"{path}: not a run summary (missing key 'config.objective')")
+    return summary

@@ -1,10 +1,16 @@
 """CLI subcommands, exit codes, and output artifacts."""
 import json
+import re
+import shlex
+import time
 from pathlib import Path
 
 import pytest
 
-from mirrormfld.cli import main
+from mirrormfld.cli import _load_run_config, build_parser, main
+from mirrormfld.config import PAPER_PARTICLES, PRESETS, figure1_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_run_preset(tmp_path, capsys):
@@ -18,11 +24,43 @@ def test_run_preset(tmp_path, capsys):
 
 
 def test_run_config_file(tmp_path):
-    from mirrormfld.config import figure1_config
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(figure1_config(beta=0.0, particles=32, steps=2,
                                              out_dir=str(tmp_path))))
     assert main(["run", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_paper_scale_applies_to_every_preset(command, preset):
+    args = build_parser().parse_args([command, "--preset", preset, "--paper-scale"])
+    assert _load_run_config(args).sampler.particles == PAPER_PARTICLES
+    args = build_parser().parse_args([command, "--preset", preset, "--paper-scale",
+                                      "--particles", "123"])
+    assert _load_run_config(args).sampler.particles == 123
+
+
+def test_paper_scale_applies_to_a_config_file(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(figure1_config(particles=32)))
+    args = build_parser().parse_args(["run", str(cfg), "--paper-scale"])
+    assert _load_run_config(args).sampler.particles == PAPER_PARTICLES
+
+
+def test_run_dirichlet_at_paper_scale(tmp_path):
+    assert main(["run", "--preset", "dirichlet", "--paper-scale", "--steps", "0",
+                 "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "mmfld_seed0_summary.json").read_text())
+    assert summary["particles"] == PAPER_PARTICLES
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_workers_below_one_exits_2(tmp_path, capsys, command, workers):
+    assert main([command, "--preset", "dirichlet", "--steps", "0", "--workers", workers,
+                 "--out-dir", str(tmp_path)]) == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_run_needs_exactly_one_source(tmp_path):
@@ -66,7 +104,7 @@ def test_bounds_subcommand(tmp_path, capsys):
 
 
 def test_compare_subcommand(tmp_path, capsys):
-    from mirrormfld.config import figure1_config, parse_config
+    from mirrormfld.config import parse_config
     from mirrormfld.runner import run_experiment
 
     a = run_experiment(parse_config(json.dumps(
@@ -80,8 +118,17 @@ def test_compare_subcommand(tmp_path, capsys):
     assert "winner_final_objective" in report
 
 
+@pytest.mark.parametrize("payload", [{"a": 1}, [1, 2]])
+def test_compare_non_summary_exits_3(tmp_path, capsys, payload):
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps(payload))
+    assert main(["compare", str(path), str(path)]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "missing key 'sampler'" in err
+
+
 def test_compare_mismatched_exits_3(tmp_path):
-    from mirrormfld.config import figure1_config, parse_config
+    from mirrormfld.config import parse_config
     from mirrormfld.runner import run_experiment
 
     a = run_experiment(parse_config(json.dumps(
@@ -99,3 +146,28 @@ def test_selfcheck(capsys):
     assert "selfcheck geometry: PASS" in out
     assert "selfcheck oracle: PASS" in out
     assert "selfcheck streams: PASS" in out
+
+
+def _readme_cli_lines():
+    """Every ``mirrormfld ...`` command of README's CLI block, continuation
+    lines joined."""
+    block = re.search(r"## CLI\n\n```bash\n(.*?)```", README.read_text(), re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("mirrormfld ")]
+
+
+def test_readme_cli_block_parses(tmp_path, monkeypatch):
+    t0 = time.perf_counter()
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_cli_lines()
+    assert {argv[0] for argv in commands} == {"run", "oracle", "bounds", "compare",
+                                               "selfcheck"}
+    for argv in commands:
+        args = build_parser().parse_args(argv)
+        if argv[0] in ("run", "oracle"):
+            if args.config:  # a config file the block names but does not ship
+                Path(args.config).write_text(json.dumps(figure1_config()))
+            cfg = _load_run_config(args)
+            if args.paper_scale:
+                assert cfg.sampler.particles == PAPER_PARTICLES
+    assert time.perf_counter() - t0 < 1.0

@@ -5,6 +5,7 @@ import pytest
 
 from mirrormfld.config import (
     FIGURE1_TARGET,
+    PAPER_PARTICLES,
     build_mirror_map,
     build_objective,
     dirichlet_config,
@@ -101,6 +102,20 @@ def test_range_error_names_key():
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(raw))
     assert any("sampler.eta" in e for e in err.value.errors)
+
+
+def test_sampler_kind_and_seed_range_messages():
+    raw = minimal_raw()
+    raw["sampler"]["kind"] = "langevin"
+    raw["seed"] = 1 << 64
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert ("'sampler.kind' must be mmfld, projected-mfld or mfld (got 'langevin')"
+            in err.value.errors)
+    assert any(e.startswith("'seed' must be <= ") for e in err.value.errors)
+    raw = minimal_raw()
+    raw["seed"] = (1 << 64) - 1
+    assert parse_config(raw).seed == (1 << 64) - 1
 
 
 def test_unknown_key_suggestion():
@@ -205,12 +220,12 @@ def test_non_finite_dataset_is_a_config_error(tmp_path):
 # -- presets ------------------------------------------------------------------
 
 def test_figure1_paper_scale_matches_experiment_settings():
-    cfg = parse_config(json.dumps(figure1_config(beta=0.0, paper_scale=True)))
+    cfg = parse_config(json.dumps(figure1_config(beta=0.0, particles=PAPER_PARTICLES)))
     assert cfg.sampler.particles == 50_000
     assert cfg.sampler.eta == pytest.approx(3e-3)
     assert cfg.sampler.temperature == pytest.approx(0.1)
     assert cfg.objective.q == FIGURE1_TARGET
-    barrier = parse_config(json.dumps(figure1_config(beta=1e-4, paper_scale=True)))
+    barrier = parse_config(json.dumps(figure1_config(beta=1e-4, particles=PAPER_PARTICLES)))
     assert barrier.objective.beta == pytest.approx(1e-4)
 
 

@@ -451,3 +451,16 @@ def test_config_validation():
         SamplerConfig(eta=-1.0)
     with pytest.raises(ValueError):
         SamplerConfig(substeps=0)
+    # non-finite step parameters are rejected by name, before any step runs
+    for name, value in (("eta", np.nan), ("eta", np.inf), ("temperature", np.inf),
+                        ("temperature", np.nan)):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            SamplerConfig(**{name: value})
+
+
+@pytest.mark.parametrize("workers", [0, -4])
+def test_run_sampler_rejects_workers_below_one(simplex3, workers):
+    cfg = SamplerConfig(sampler="mmfld", eta=1e-3, temperature=0.1, steps=1)
+    start = initial_ensemble(simplex3, 8, seed=0)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_sampler(start, simplex3, constant_potential(), cfg, workers=workers)

@@ -3,13 +3,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from mirrormfld.errors import ConfigError, DomainViolationError, FactorizationError
 from mirrormfld.geometry import (
     BoxLogBarrierMap,
     SimplexEntropyMap,
     coordinate_sum,
-    make_mirror_map,
     self_concordance_probe,
 )
 
@@ -289,6 +289,57 @@ def test_box_kick_matches_dense_factor_bit_for_bit(box2, rng):
                           y + np.clip(dense, -4.0, 4.0))
 
 
+def test_box_hessian_diagonal_is_closed_form_bit_for_bit(rng):
+    box = BoxLogBarrierMap(bounds=((-3.0, 3.0), (0.0, 1e-3)))
+    x = interior_box_points(rng, box, 1000).T
+    lo, hi = box.lower[:, None], box.upper[:, None]
+    closed = 1.0 / (x - lo) ** 2 + 1.0 / (hi - x) ** 2
+    assert np.array_equal(box.hessian_diagonal(x), closed)
+    y = rng.standard_normal(x.shape) * 10.0 ** rng.uniform(-3, 6, size=x.shape)
+    gap_lo, gap_hi = box._wall_gaps(y)
+    assert np.array_equal(box._hessian_diagonal_from_dual(y),
+                          1.0 / gap_lo ** 2 + 1.0 / gap_hi ** 2)
+
+
+@pytest.mark.parametrize("dim", [3, 10])
+def test_tamed_simplex_kick(dim, rng):
+    # ambient rows with one coordinate spread across [1e-7, 1e-3], which
+    # straddles the near-face layer min(x) < scale / cap**2 = 3.75e-5, plus
+    # a pinned coordinate ~1e-20 and coordinates ~e^-300
+    m, scale, cap = dim - 1, 6e-4, 4.0
+    amb = rng.dirichlet(np.ones(dim), size=400)
+    small = np.arange(200)
+    amb[small, rng.integers(0, dim, 200)] = np.exp(rng.uniform(np.log(1e-7),
+                                                               np.log(1e-3), 200))
+    y = np.log(amb[:, :-1]) - np.log(amb[:, -1:])
+    y[0] = 46.0 - np.arange(m)
+    y[1] = -300.0
+    y[2, 0] = -300.0
+    xi = rng.standard_normal(y.shape)
+    mm = SimplexEntropyMap(ambient_dim=dim)
+    got = mm.diffusion_substep(y.T, scale, xi.T, step_cap=cap).T
+    assert np.all(np.isfinite(got)) and np.all(mm.ambient_from_dual(got.T) > 0)
+
+    before = mm.ambient_from_dual(y.T).T
+    deep = before.min(axis=1) < scale / cap ** 2
+    ell, dense = _dense_kick(mm, y, scale, xi)
+    assert 0 < deep.sum() < len(deep) and np.any(np.abs(dense[~deep]) > cap)
+    tamed = y + np.clip(dense, -cap, cap)
+    if dim == 3:
+        assert np.array_equal(got[~deep], tamed[~deep])
+    else:
+        size = np.abs(y) + np.einsum("...ij,...j->...i", np.abs(ell), np.abs(xi))
+        assert np.max((np.abs(got - tamed) / size)[~deep]) <= 1e-12
+    # deep columns: the face coordinate is redrawn from the exact near-face
+    # law, then the column is renormalised
+    redrawn = before[deep].copy()
+    face = np.argmin(redrawn, axis=1)
+    redrawn[np.arange(len(face)), face] = 0.5 * scale * -np.log1p(-ndtr(xi[deep, 0]))
+    redrawn /= redrawn.sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(mm.ambient_from_dual(got[deep].T).T, redrawn,
+                               rtol=1e-10, atol=0)
+
+
 # -- errors -------------------------------------------------------------------
 
 def test_forward_rejects_boundary_points(simplex3, unit_box):
@@ -305,15 +356,15 @@ def test_metric_rejects_boundary(simplex3):
         simplex3.metric(np.array([0.0, 0.3]), 1.0)
 
 
-def test_make_mirror_map_validation():
-    assert make_mirror_map("simplex-entropy", ambient_dim=4).intrinsic_dim == 3
-    assert make_mirror_map("box-log-barrier", bounds=[(-3, 3)] * 2).ambient_dim == 2
+def test_map_constructors_validate():
+    assert SimplexEntropyMap(ambient_dim=4).intrinsic_dim == 3
+    assert BoxLogBarrierMap(bounds=[(-3, 3)] * 2).ambient_dim == 2
     with pytest.raises(ConfigError):
-        make_mirror_map("nope")
+        BoxLogBarrierMap(bounds=[(1.0, 0.0)])
     with pytest.raises(ConfigError):
-        make_mirror_map("box-log-barrier", bounds=[(1.0, 0.0)])
+        BoxLogBarrierMap(bounds=[(0.0, 1.0, 2.0)])
     with pytest.raises(ConfigError):
-        make_mirror_map("simplex-entropy")
+        SimplexEntropyMap(ambient_dim=1)
 
 
 # -- self-concordance probe ---------------------------------------------------

@@ -96,6 +96,29 @@ def test_run_writes_expected_files(tmp_path):
     assert summary["final_objective"] == pytest.approx(res.metrics[-1].objective_value)
 
 
+@pytest.mark.parametrize("workers", [0, -4])
+def test_run_experiment_rejects_workers_below_one(tmp_path, workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_experiment(small_config(tmp_path), workers=workers)
+    assert not any(tmp_path.iterdir())
+
+
+def test_load_summary_names_file_and_missing_key(tmp_path):
+    res = run_experiment(small_config(tmp_path))
+    summary = json.loads(res.summary_path.read_text())
+    for payload, key in (({"a": 1}, "sampler"), ([1, 2], "sampler"), (7, "sampler"),
+                         ({**summary, "config": {}}, "config.objective")):
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="missing key") as err:
+            load_summary(path)
+        assert str(path) in str(err.value) and repr(key) in str(err.value)
+    summary.pop("final_boundary_fraction")
+    path.write_text(json.dumps(summary))
+    with pytest.raises(ValueError, match="'final_boundary_fraction'"):
+        load_summary(path)
+
+
 def test_metrics_csv_schema(tmp_path):
     res = run_experiment(small_config(tmp_path))
     rows = read_rows(res.metrics_path)
