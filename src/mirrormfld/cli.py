@@ -31,8 +31,6 @@ EXIT_RUNTIME = 3
 def _load_run_config(args) -> config_mod.RunConfig:
     if bool(args.config) == bool(args.preset):
         raise ConfigError(["provide exactly one of a config file or --preset"])
-    if args.workers < 1:
-        raise ConfigError([f"--workers must be >= 1 (got {args.workers})"])
     source = config_mod.preset_config(args.preset) if args.preset else args.config
     return _apply_overrides(config_mod.parse_config(source), args)
 
@@ -55,6 +53,8 @@ def _apply_overrides(cfg: config_mod.RunConfig, args) -> config_mod.RunConfig:
 
 
 def _cmd_run(args) -> int:
+    if args.workers < 1:
+        raise ConfigError([f"--workers must be >= 1 (got {args.workers})"])
     cfg = _load_run_config(args)
     result = runner.run_experiment(cfg, workers=args.workers)
     print(f"wrote {result.metrics_path}")
@@ -218,17 +218,10 @@ def _cmd_selfcheck(_args) -> int:
     return EXIT_OK if bad == 0 else EXIT_RUNTIME
 
 
-def _add_run_arguments(p):
+def _add_config_arguments(p):
     p.add_argument("config", nargs="?", help="config file path or inline JSON")
     p.add_argument("--preset", choices=sorted(config_mod.PRESETS))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--particles", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--paper-scale", action="store_true",
-                   help="use the full 50k-particle scale")
     p.add_argument("--out-dir")
-    p.add_argument("--dump-particles", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,11 +231,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="execute a sampler run")
-    _add_run_arguments(run_p)
+    _add_config_arguments(run_p)
+    run_p.add_argument("--seed", type=int)
+    run_p.add_argument("--particles", type=int)
+    run_p.add_argument("--steps", type=int)
+    run_p.add_argument("--paper-scale", action="store_true",
+                       help="use the full 50k-particle scale")
+    run_p.add_argument("--dump-particles", action="store_true")
+    run_p.add_argument("--workers", type=int, default=1)
     run_p.set_defaults(fn=_cmd_run)
 
     oracle_p = sub.add_parser("oracle", help="grid fixed-point solve + JSON export")
-    _add_run_arguments(oracle_p)
+    _add_config_arguments(oracle_p)
     oracle_p.set_defaults(fn=_cmd_oracle)
 
     bounds_p = sub.add_parser("bounds", help="convergence-bound calculators")

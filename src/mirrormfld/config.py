@@ -3,8 +3,9 @@
 Configs are JSON (a file path or inline text) or an already-loaded mapping.
 Validation is strict -- unknown keys are rejected with a suggestion, every
 error is reported (not just the first), every number must be finite -- and
-the parsed config serializes back to the identical canonical dictionary,
-which ``runner`` echoes into run summaries for provenance.
+the parsed config converts back to the identical canonical dictionary
+(``RunConfig.to_dict``), which ``runner`` echoes into run summaries for
+provenance.
 
 Schema (defaults in brackets)::
 
@@ -99,7 +100,7 @@ class RunConfig:
     oracle: OracleSpec
 
     def to_dict(self) -> dict:
-        """Canonical dictionary form; parse(serialize(cfg)) round-trips."""
+        """Canonical dictionary form; ``parse_config(cfg.to_dict()) == cfg``."""
         obj = {k: (list(v) if isinstance(v, tuple) else v)
                for k, v in asdict(self.objective).items() if v is not None}
         domain = {"kind": self.domain.kind}
@@ -123,9 +124,6 @@ class RunConfig:
             "diagnostics": {"every": self.every, "boundary_epsilon": self.boundary_epsilon},
             "oracle": asdict(self.oracle),
         }
-
-    def serialize(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 class _Checker:

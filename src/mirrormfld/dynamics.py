@@ -300,6 +300,8 @@ def run_sampler(ensemble: ParticleEnsemble, mirror_map, objective, cfg: SamplerC
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1 (got {workers})")
+    if every < 1:
+        raise ValueError(f"every must be >= 1 (got {every})")
     step = _mirror_iteration if cfg.sampler == "mmfld" else euclidean_step
     if cfg.sampler == "mmfld" and ensemble.dual is None:
         x = np.ascontiguousarray(ensemble.points[:, :mirror_map.intrinsic_dim].T)

@@ -321,11 +321,6 @@ def _embed_rows(mirror_map, points: Array) -> Array:
     return np.ascontiguousarray(mirror_map.embed(np.asarray(points, dtype=np.float64).T).T)
 
 
-def ensemble_stats(objective, points: Array, mirror_map):
-    """Statistics of an (N, m) intrinsic-coordinate ensemble (embeds first)."""
-    return objective.stats(_embed_rows(mirror_map, points)).stats
-
-
 def objective_value(objective, points: Array, mirror_map) -> float:
     return objective.value(objective.stats(_embed_rows(mirror_map, points)))
 

@@ -113,12 +113,6 @@ def measure_from_weights(grid: SimplexGrid, weights) -> GridMeasure:
     return GridMeasure(grid, w / np.sum(w))
 
 
-def measure_from_density(grid: SimplexGrid, density_fn) -> GridMeasure:
-    """Quadrature-normalize a density given as a function of ambient nodes."""
-    vals = np.asarray(density_fn(grid.nodes), dtype=np.float64)
-    return measure_from_weights(grid, vals * grid.volumes)
-
-
 def _check_grid_objective(objective):
     if getattr(objective, "kind", None) == "mf-network-risk":
         raise ConfigError("the grid oracle does not support the network-risk objective")
@@ -264,11 +258,6 @@ def relative_fisher_information(mu: GridMeasure, nu: GridMeasure) -> float:
     hinv = SimplexEntropyMap(ambient_dim=3).inverse_hessian(grid.intrinsic.T)
     quad = np.einsum("ni,ijn,nj->n", grad, hinv, grad)
     return float(np.sum(wm[pos] * quad[pos]))
-
-
-def grid_divergences(mu: GridMeasure, nu: GridMeasure) -> tuple[float, float]:
-    """(KL(mu || nu), mirror-metric relative Fisher information)."""
-    return kl_divergence(mu, nu), relative_fisher_information(mu, nu)
 
 
 @dataclass(frozen=True)

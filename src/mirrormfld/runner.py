@@ -214,10 +214,13 @@ def compare_runs(*summaries: dict) -> dict:
 
 
 def load_summary(path) -> dict:
-    """Read a run summary; the ``ValueError`` for any other JSON names the
-    file and the first key it lacks."""
+    """Read a run summary; the ``ValueError`` for any other file names the
+    file, and for other JSON the first key it lacks."""
     with open(path, encoding="utf-8") as fh:
-        summary = json.load(fh)
+        try:
+            summary = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not JSON ({exc})") from None
     for key in ("sampler", "seed", "final_objective", "final_boundary_fraction", "config"):
         if not isinstance(summary, dict) or key not in summary:
             raise ValueError(f"{path}: not a run summary (missing key {key!r})")

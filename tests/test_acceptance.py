@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines as they complete.  The heavy particle runs (criteria 3, 4/7, 6, 8, 10)
-share session fixtures where the criteria share runs.
+share session fixtures where the criteria share runs: the (beta 0, mmfld,
+seed 0) figure-1 run serves criteria 4, 6 and 10.
 
 Criterion 6a's final-loss clause at beta = 0 is expected to fail: with both
 samplers sharing the continuous-time minimizer, projection's boundary
@@ -58,32 +59,40 @@ def mean_match_oracle():
     return grid, obj, result, fun
 
 
-@pytest.fixture(scope="session")
-def oracle_consistency_run(tmp_path_factory):
-    """Criterion 4's MMFLD run, shared with criterion 7 (its gap series)."""
-    out = tmp_path_factory.mktemp("criterion4")
-    cfg = parse_config(json.dumps(
-        figure1_config(beta=0.0, particles=10_000, steps=2000, seed=0,
-                       out_dir=str(out))))
+def _figure1_run(out_dir, *, beta=0.0, sampler="mmfld", seed=0, workers=1):
+    """One figure-1 run at N = 10k, 2000 steps, and its own wall time."""
+    cfg = parse_config(json.dumps(figure1_config(
+        beta=beta, sampler=sampler, seed=seed, particles=10_000, steps=2000,
+        out_dir=str(out_dir))))
     t0 = time.perf_counter()
-    res = run_experiment(cfg)
+    res = run_experiment(cfg, workers=workers)
     return res, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
-def figure1_runs(tmp_path_factory):
-    """All figure-1 A/B runs: (beta, sampler, seed) -> summary."""
+def figure1_mirror_run(tmp_path_factory):
+    """The (beta 0, mmfld, seed 0) run: criterion 4's run (and criterion 7's
+    gap series), one of the 12 figure-1 runs and criterion 10's first run."""
+    return _figure1_run(tmp_path_factory.mktemp("criterion4"))
+
+
+@pytest.fixture(scope="session")
+def figure1_runs(tmp_path_factory, figure1_mirror_run):
+    """All figure-1 A/B runs, (beta, sampler, seed) -> summary, and the sum
+    of the 12 runs' own wall times."""
     out = tmp_path_factory.mktemp("figure1")
-    runs = {}
-    t0 = time.perf_counter()
+    shared, elapsed = figure1_mirror_run
+    runs = {(0.0, "mmfld", 0): shared.summary}
     for beta in (0.0, 1e-4):
         for sampler in ("mmfld", "projected-mfld"):
             for seed in (0, 1, 2):
-                cfg = parse_config(json.dumps(figure1_config(
-                    beta=beta, sampler=sampler, seed=seed, particles=10_000,
-                    steps=2000, out_dir=str(out / f"{beta}_{sampler}_{seed}"))))
-                runs[(beta, sampler, seed)] = run_experiment(cfg).summary
-    return runs, time.perf_counter() - t0
+                if (beta, sampler, seed) in runs:
+                    continue
+                res, own = _figure1_run(out / f"{beta}_{sampler}_{seed}",
+                                        beta=beta, sampler=sampler, seed=seed)
+                runs[(beta, sampler, seed)] = res.summary
+                elapsed += own
+    return runs, elapsed
 
 
 # -- criterion 1: mirror-map identity suite --------------------------------------
@@ -187,9 +196,9 @@ def test_criterion_03_dirichlet_stationarity(tmp_path):
 
 # -- criteria 4 and 7: oracle consistency and convergence trend ---------------------
 
-def test_criterion_04_oracle_consistency(mean_match_oracle, oracle_consistency_run):
+def test_criterion_04_oracle_consistency(mean_match_oracle, figure1_mirror_run):
     grid, obj, result, fun = mean_match_oracle
-    res, elapsed = oracle_consistency_run
+    res, elapsed = figure1_mirror_run
     assert result.residual < 1e-6
     mean = np.asarray(res.summary["mean"])
     diff = np.abs(mean - fun.mean)
@@ -200,9 +209,9 @@ def test_criterion_04_oracle_consistency(mean_match_oracle, oracle_consistency_r
 
 
 def test_criterion_07_linear_convergence_trend(mean_match_oracle,
-                                               oracle_consistency_run):
+                                               figure1_mirror_run):
     _, _, _, fun = mean_match_oracle
-    res, _ = oracle_consistency_run
+    res, _ = figure1_mirror_run
     gaps = np.array([row.objective_value for row in res.metrics]) - fun.value
     assert gaps.shape[0] == 2001
     ratio = gaps[-1] / gaps[0]
@@ -336,22 +345,19 @@ def test_criterion_09_theory_calculators():
 
 # -- criterion 10: determinism across workers --------------------------------------------
 
-def test_criterion_10_determinism(tmp_path):
-    t0 = time.perf_counter()
+def test_criterion_10_determinism(tmp_path, figure1_mirror_run):
+    shared, elapsed = figure1_mirror_run
 
-    def run(tag, workers):
-        cfg = parse_config(json.dumps(figure1_config(
-            beta=0.0, particles=10_000, steps=2000, seed=0,
-            out_dir=str(tmp_path / tag))))
-        res = run_experiment(cfg, workers=workers)
+    def rows(res):
         lines = res.metrics_path.read_text(encoding="utf-8").splitlines()
         # strip the wall-clock column, keep everything else byte-identical
         return [line.rsplit(",", 1)[0] for line in lines]
 
-    first = run("w1", 1)
-    again = run("w1b", 1)
-    eight = run("w8", 8)
-    elapsed = time.perf_counter() - t0
-    ok = first == again == eight
+    first = rows(shared)
+    again, own = _figure1_run(tmp_path / "w1b")
+    elapsed += own
+    eight, own = _figure1_run(tmp_path / "w8", workers=8)
+    elapsed += own
+    ok = first == rows(again) == rows(eight)
     assert report(10, "determinism across repeats and worker counts", ok,
-                  f"{len(first)} csv rows compared, {elapsed:.0f}s")
+                  f"{len(first)} csv rows compared, 3 runs {elapsed:.0f}s")

@@ -30,12 +30,25 @@ def test_run_config_file(tmp_path):
     assert main(["run", str(cfg)]) == 0
 
 
+def _exit_code(argv):
+    """``main``'s return value, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.mark.parametrize("command", ["run", "oracle"])
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_paper_scale_applies_to_every_preset(command, preset):
-    args = build_parser().parse_args([command, "--preset", preset, "--paper-scale"])
+    """``run`` scales every preset; ``oracle`` runs no sampler and rejects
+    the flag."""
+    if command == "oracle":
+        assert _exit_code(["oracle", "--preset", preset, "--paper-scale"]) == 2
+        return
+    args = build_parser().parse_args(["run", "--preset", preset, "--paper-scale"])
     assert _load_run_config(args).sampler.particles == PAPER_PARTICLES
-    args = build_parser().parse_args([command, "--preset", preset, "--paper-scale",
+    args = build_parser().parse_args(["run", "--preset", preset, "--paper-scale",
                                       "--particles", "123"])
     assert _load_run_config(args).sampler.particles == 123
 
@@ -57,9 +70,21 @@ def test_run_dirichlet_at_paper_scale(tmp_path):
 @pytest.mark.parametrize("command", ["run", "oracle"])
 @pytest.mark.parametrize("workers", ["0", "-4"])
 def test_workers_below_one_exits_2(tmp_path, capsys, command, workers):
-    assert main([command, "--preset", "dirichlet", "--steps", "0", "--workers", workers,
-                 "--out-dir", str(tmp_path)]) == 2
+    """``run`` rejects the value; ``oracle`` rejects the flag itself."""
+    steps = ["--steps", "0"] if command == "run" else []
+    assert _exit_code([command, "--preset", "dirichlet", *steps, "--workers", workers,
+                       "--out-dir", str(tmp_path)]) == 2
     assert "--workers" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", [["--seed", "4"], ["--particles", "10"], ["--steps", "0"],
+                                  ["--paper-scale"], ["--dump-particles"], ["--workers", "3"]],
+                         ids=lambda flag: flag[0].lstrip("-"))
+def test_oracle_rejects_sampler_flags(tmp_path, capsys, flag):
+    assert _exit_code(["oracle", "--preset", "figure1-beta0", "--out-dir", str(tmp_path),
+                       *flag]) == 2
+    assert flag[0] in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
@@ -81,8 +106,7 @@ def test_run_missing_file_exits_2():
 
 
 def test_oracle_subcommand(tmp_path, capsys):
-    code = main(["oracle", "--preset", "figure1-beta0", "--steps", "0",
-                 "--out-dir", str(tmp_path)])
+    code = main(["oracle", "--preset", "figure1-beta0", "--out-dir", str(tmp_path)])
     assert code == 0
     payload = json.loads((tmp_path / "oracle.json").read_text())
     assert payload["residual"] < 1e-6
@@ -127,6 +151,14 @@ def test_compare_non_summary_exits_3(tmp_path, capsys, payload):
     assert str(path) in err and "missing key 'sampler'" in err
 
 
+def test_compare_non_json_exits_3(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("not json")
+    assert main(["compare", str(path), str(path)]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "not JSON" in err
+
+
 def test_compare_mismatched_exits_3(tmp_path):
     from mirrormfld.config import parse_config
     from mirrormfld.runner import run_experiment
@@ -168,6 +200,6 @@ def test_readme_cli_block_parses(tmp_path, monkeypatch):
             if args.config:  # a config file the block names but does not ship
                 Path(args.config).write_text(json.dumps(figure1_config()))
             cfg = _load_run_config(args)
-            if args.paper_scale:
+            if argv[0] == "run" and args.paper_scale:
                 assert cfg.sampler.particles == PAPER_PARTICLES
     assert time.perf_counter() - t0 < 1.0

@@ -51,9 +51,9 @@ def test_missing_file():
 
 def test_round_trip_idempotent():
     cfg = parse_config(json.dumps(figure1_config(beta=1e-4)))
-    again = parse_config(cfg.serialize())
+    again = parse_config(json.dumps(cfg.to_dict()))
     assert again == cfg
-    assert again.serialize() == cfg.serialize()
+    assert json.dumps(again.to_dict()) == json.dumps(cfg.to_dict())
 
 
 def test_mapping_parses_like_its_json_text():

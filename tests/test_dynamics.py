@@ -464,3 +464,12 @@ def test_run_sampler_rejects_workers_below_one(simplex3, workers):
     start = initial_ensemble(simplex3, 8, seed=0)
     with pytest.raises(ValueError, match="workers must be >= 1"):
         run_sampler(start, simplex3, constant_potential(), cfg, workers=workers)
+
+
+@pytest.mark.parametrize("every", [0, -1])
+def test_run_sampler_rejects_every_below_one(simplex3, every):
+    cfg = SamplerConfig(sampler="mmfld", eta=1e-3, temperature=0.1, steps=1)
+    start = initial_ensemble(simplex3, 8, seed=0)
+    with pytest.raises(ValueError, match="every must be >= 1"):
+        run_sampler(start, simplex3, constant_potential(), cfg,
+                    diagnostics=lambda e: e.iteration, every=every)

@@ -8,7 +8,6 @@ from mirrormfld.objectives import (
     LinearPotential,
     MeanMatchBarrier,
     NetworkRisk,
-    ensemble_stats,
     first_variation_grad,
     lift_identity_check,
     load_dataset,
@@ -34,21 +33,26 @@ def param_box():
 
 # -- statistics ---------------------------------------------------------------
 
+def _ambient(mirror_map, points):
+    """The (N, d) ambient rows of (N, m) intrinsic rows."""
+    return mirror_map.embed(np.asarray(points).T).T
+
+
 def test_constant_ensemble_mean(simplex3):
     pts = np.tile([1 / 3, 1 / 3], (7, 1))
-    m = ensemble_stats(MeanMatchBarrier(target=Q), pts, simplex3)
+    m = MeanMatchBarrier(target=Q).stats(_ambient(simplex3, pts)).stats
     assert np.allclose(m, [1 / 3, 1 / 3, 1 / 3])
 
 
 def test_two_point_mean(simplex3):
     pts = np.array([[0.5, 0.25], [0.25, 0.5]])
-    m = ensemble_stats(MeanMatchBarrier(target=Q), pts, simplex3)
+    m = MeanMatchBarrier(target=Q).stats(_ambient(simplex3, pts)).stats
     assert np.allclose(m, [3 / 8, 3 / 8, 1 / 4])
 
 
 def test_network_zero_weights_predict_zero(network, param_box):
     pts = np.zeros((5, 3))
-    stats = ensemble_stats(network, pts, param_box)
+    stats = network.stats(_ambient(param_box, pts)).stats
     assert np.allclose(stats, 0.0)
 
 
@@ -56,8 +60,8 @@ def test_stats_invariant_under_permutation(simplex3, rng):
     obj = MeanMatchBarrier(target=Q, beta=1e-4)
     pts = interior_simplex_points(rng, 64)
     perm = rng.permutation(64)
-    assert np.allclose(ensemble_stats(obj, pts, simplex3),
-                       ensemble_stats(obj, pts[perm], simplex3))
+    assert np.allclose(obj.stats(_ambient(simplex3, pts)).stats,
+                       obj.stats(_ambient(simplex3, pts[perm])).stats)
 
 
 # -- values ---------------------------------------------------------------------
