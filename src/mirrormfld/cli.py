@@ -86,7 +86,8 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_bounds(args) -> int:
     stability = theory.hessian_stability_factor(
-        c1=args.c1, c2=args.c2, diameter=args.diameter, t=args.window,
+        c1=args.c1, c2=args.c2, diameter=args.diameter,
+        t=args.eta if args.window is None else args.window,
         drift_bound=args.m1, dim=args.dim, variant=args.variant,
         temperature=args.temperature if args.variant == "derivation" else None)
     factor = args.stability if args.stability is not None else (
@@ -261,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     bounds_p.add_argument("--c1", type=float, default=0.0)
     bounds_p.add_argument("--c2", type=float, default=1.0)
     bounds_p.add_argument("--diameter", type=float, default=1.0)
-    bounds_p.add_argument("--window", type=float, default=3e-3,
-                          help="t for the stability factor (defaults to one step)")
+    bounds_p.add_argument("--window", type=float,
+                          help="t for the stability factor (defaults to one step, --eta)")
     bounds_p.add_argument("--dim", type=int, default=2)
     bounds_p.add_argument("--variant", choices=("statement", "derivation"),
                           default="statement")

@@ -285,12 +285,17 @@ def _cross_checks(chk, domain, objective, sampler):
         if expect is not None and len(objective.alpha) != expect:
             chk.fail(f"'objective.alpha' length {len(objective.alpha)} "
                      f"!= domain ambient dimension {expect}")
+        elif negative := [c for c, (a, (lo, _)) in
+                          enumerate(zip(objective.alpha, domain.bounds or ()))
+                          if a != 1.0 and lo < 0.0]:
+            chk.fail(f"'domain.bounds' reach below 0 at coordinates {negative}, where "
+                     "'objective.alpha' != 1 needs strictly positive coordinates")
     if objective.kind == "mf-network-risk" and domain.kind != "box":
         chk.fail("mf-network-risk requires a box domain over the network parameters")
-    if sampler.kind == "mfld" and domain.kind == "simplex" and (
+    if sampler.kind == "mfld" and (
             (objective.kind == "mean-match-barrier" and (objective.beta or 0.0) > 0)
             or any(a != 1.0 for a in objective.alpha or ())):
-        chk.fail(f"'sampler.kind' mfld leaves the simplex, where {objective.kind} "
+        chk.fail(f"'sampler.kind' mfld leaves the {domain.kind}, where {objective.kind} "
                  "needs strictly positive coordinates; use mmfld or projected-mfld")
 
 
@@ -343,6 +348,9 @@ def parse_config(source) -> RunConfig:
     oracle = OracleSpec(**{f.name: chk.value(orc, "oracle", f.name, type(f.default),
                                              default=f.default, **limits[f.name])
                            for f in fields(OracleSpec)})
+    if not oracle.margin < 1.0 / (3.0 * oracle.resolution):
+        chk.fail(f"'oracle.margin' must be < 1/(3 * 'oracle.resolution') = "
+                 f"{1.0 / (3.0 * oracle.resolution):.6g} (got {oracle.margin})")
 
     if chk.errors:
         raise ConfigError(chk.errors)

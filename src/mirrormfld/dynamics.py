@@ -16,12 +16,12 @@ instead works in ambient coordinates with isotropic noise and a Euclidean
 projection after every update; the plain ``mfld`` sampler is the same
 update without projection, for unconstrained sanity runs.
 
-The dual state is coordinate-first, one C-contiguous (m, N) array, and the
-whole mirror iteration -- pullback, drift, noise, factor, kick, cap,
-near-face redraw and ``ambient_from_dual`` -- runs on (m, n) chunks of it
-(see the ``geometry`` conventions).  Each chunk's ambient points are
-transposed once into the row-major (N, d) ``points`` that objectives and
-diagnostics read.
+Every step is coordinate-first.  The whole mirror iteration -- pullback,
+drift, noise, factor, kick, cap, near-face redraw and ``ambient_from_dual``
+-- runs on (m, n) chunks of the one C-contiguous (m, N) dual state (see the
+``geometry`` conventions), the Euclidean step on (d, n) chunks.  Each
+chunk's ambient points are transposed once into the row-major (N, d)
+``points`` that objectives and diagnostics read.
 
 All per-particle noise comes from the counter-based streams in
 ``rngstream``, keyed by (seed, particle, iteration, substep), so the
@@ -83,11 +83,12 @@ class SamplerConfig:
 class ParticleEnsemble:
     """N particle rows plus the iteration counter and RNG lineage.
 
-    ``points`` is the C-contiguous (N, d) ambient view for every sampler:
-    objectives and diagnostics read it row-major, and their row-major sums
-    fix the metrics bit for bit.  A mirror ensemble also carries its
-    coordinate-first (m, N) ``dual`` state, from which ``points`` is
-    derived; it is ``None`` until ``run_sampler`` first enters it.
+    ``points`` is the C-contiguous (N, d) ambient view for every sampler,
+    which each step writes from coordinate-first chunks: objectives and
+    diagnostics read it row-major, and their row-major sums fix the metrics
+    bit for bit.  A mirror ensemble also carries its coordinate-first
+    (m, N) ``dual`` state, from which ``points`` is derived; it is ``None``
+    until ``run_sampler`` first enters it.
     """
 
     points: Array
@@ -228,31 +229,27 @@ def _mirror_iteration(ensemble: ParticleEnsemble, mirror_map, objective,
 def project_simplex(v: Array) -> Array:
     """Euclidean projection onto {x >= 0, sum x = 1} (sorted-threshold rule).
 
-    Accepts a single vector or a stack of rows.
+    Coordinate-first like the geometry kernels: a single (d,) point or a
+    (d, N) batch, projected column by column.
     """
     v = np.asarray(v, dtype=np.float64)
-    single = v.ndim == 1
-    rows = np.atleast_2d(v)
-    d = rows.shape[1]
-    s = np.sort(rows, axis=1)[:, ::-1]
-    cumsum = np.cumsum(s, axis=1)
-    ks = np.arange(1, d + 1)
-    active = s * ks > (cumsum - 1.0)
-    k_star = d - 1 - np.argmax(active[:, ::-1], axis=1)
-    theta = (cumsum[np.arange(rows.shape[0]), k_star] - 1.0) / (k_star + 1)
-    out = np.maximum(rows - theta[:, None], 0.0)
-    return out[0] if single else out
+    cols = v.reshape(v.shape[0], -1)
+    d, n = cols.shape
+    s = np.sort(cols, axis=0)[::-1]
+    cumsum = np.cumsum(s, axis=0)
+    active = s * np.arange(1, d + 1)[:, None] > (cumsum - 1.0)
+    k_star = d - 1 - np.argmax(active[::-1], axis=0)
+    theta = (cumsum[k_star, np.arange(n)] - 1.0) / (k_star + 1)
+    return np.maximum(cols - theta, 0.0).reshape(v.shape)
 
 
-def _project_ambient(pts: Array, mirror_map) -> Array:
+def _project_ambient(x: Array, mirror_map) -> Array:
     if mirror_map.kind == "simplex-entropy":
-        proj = project_simplex(pts)
         # nudge off exact boundary so barrier objectives stay finite
-        proj = np.maximum(proj, PROJECTION_NUDGE)
-        return proj / np.sum(proj, axis=-1, keepdims=True)
-    lo = mirror_map.lower + PROJECTION_NUDGE
-    hi = mirror_map.upper - PROJECTION_NUDGE
-    return np.clip(pts, lo, hi)
+        proj = np.maximum(project_simplex(x), PROJECTION_NUDGE)
+        return np.divide(proj, coordinate_sum(proj), out=proj)
+    return np.clip(x, (mirror_map.lower + PROJECTION_NUDGE)[:, None],
+                   (mirror_map.upper - PROJECTION_NUDGE)[:, None])
 
 
 def euclidean_step(ensemble: ParticleEnsemble, mirror_map, objective, cfg: SamplerConfig,
@@ -261,7 +258,8 @@ def euclidean_step(ensemble: ParticleEnsemble, mirror_map, objective, cfg: Sampl
 
     Implements both the projected baseline (``projected-mfld``) and the
     unconstrained sanity sampler (``mfld``); the only difference is whether
-    the projection is applied.
+    the projection is applied.  Each chunk works on (d, hi - lo) arrays,
+    transposed once into ``points`` as in the mirror step.
     """
     pts = ensemble.points
     n, d = pts.shape
@@ -272,12 +270,14 @@ def euclidean_step(ensemble: ParticleEnsemble, mirror_map, objective, cfg: Sampl
     out = np.empty_like(pts)
 
     def update(lo, hi):
-        x = pts[lo:hi] - cfg.eta * objective.potential_grad(record.rows(lo, hi))
+        x = np.multiply(objective.potential_grad(record.rows(lo, hi)).T, cfg.eta,
+                        out=np.empty((d, hi - lo)))
+        np.subtract(pts[lo:hi].T, x, out=x)
         if noise_scale > 0.0:
             noise = rngstream.normal_block(seed, k, 0, lo, hi, d)
             noise *= noise_scale
-            x += noise.T
-        out[lo:hi] = _project_ambient(x, mirror_map) if project else x
+            x += noise
+        out[lo:hi] = (_project_ambient(x, mirror_map) if project else x).T
 
     _run_chunks(update, _chunk_ranges(n, chunks), pool)
     # a dual carried in from a mirror run no longer describes these points

@@ -127,6 +127,39 @@ def test_bounds_subcommand(tmp_path, capsys):
     assert payload["objective_gap_bound"] > 0
 
 
+def test_bounds_window_defaults_to_one_step(capsys):
+    def payload(*flags):
+        assert main(["bounds", "--c1", "1", "--c2", "4", *flags]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    assert payload("--eta", "1e-2") == payload("--eta", "1e-2", "--window", "1e-2")
+    assert payload("--eta", "1e-2") != payload("--eta", "1e-2", "--window", "3e-3")
+    assert payload() == payload("--window", "3e-3")
+
+
+@pytest.mark.parametrize("domain, sampler, oracle, keys", [
+    ([[0.0, 1.0], [0.0, 1.0]], "mfld", {}, ["sampler.kind"]),
+    ([[-1.0, 1.0], [0.0, 1.0]], "mmfld", {}, ["domain.bounds", "objective.alpha"]),
+    ([[0.0, 1.0], [0.0, 1.0]], "mmfld", {"resolution": 4000},
+     ["oracle.margin", "oracle.resolution"]),
+])
+def test_config_that_cannot_run_exits_2(tmp_path, capsys, domain, sampler, oracle, keys):
+    # each config passes every per-key check but cannot run (or build the
+    # oracle grid); the config boundary must reject it, naming its keys
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "domain": {"kind": "box", "bounds": domain},
+        "objective": {"kind": "linear-potential", "alpha": [2.0, 2.0],
+                      "reference_temperature": 0.1},
+        "sampler": {"kind": sampler, "eta": 0.01, "lambda": 0.1, "steps": 50,
+                    "particles": 200},
+        "output": {"dir": str(tmp_path / "out")}, "oracle": oracle}))
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert all(f"'{key}'" in err for key in keys)
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_subcommand(tmp_path, capsys):
     from mirrormfld.config import parse_config
     from mirrormfld.runner import run_experiment

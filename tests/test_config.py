@@ -81,11 +81,20 @@ def test_non_finite_number_names_key(key, value):
     assert any(".".join(key) in e and "finite" in e for e in err.value.errors)
 
 
+def _box_linear(bounds, alpha, sampler):
+    return minimal_raw(domain={"kind": "box", "bounds": bounds},
+                       objective={"kind": "linear-potential", "alpha": alpha,
+                                  "reference_temperature": 0.1},
+                       sampler={"kind": sampler, "eta": 1e-2, "lambda": 0.1,
+                                "steps": 10, "particles": 100})
+
+
 def test_mfld_rejected_where_objective_needs_positive_coordinates():
     barrier = figure1_config(beta=1e-4, sampler="mfld")
     dirichlet = dirichlet_config()
     dirichlet["sampler"]["kind"] = "mfld"
-    for raw in (barrier, dirichlet):
+    box = _box_linear([[0.0, 1.0], [0.0, 1.0]], [2.0, 2.0], "mfld")
+    for raw in (barrier, dirichlet, box):
         with pytest.raises(ConfigError) as err:
             parse_config(raw)
         assert any("sampler.kind" in e for e in err.value.errors)
@@ -94,6 +103,34 @@ def test_mfld_rejected_where_objective_needs_positive_coordinates():
     flat = dirichlet_config(alpha=(1.0, 1.0, 1.0))
     flat["sampler"]["kind"] = "mfld"
     assert parse_config(flat).sampler.kind == "mfld"
+    flat = parse_config(_box_linear([[-1.0, 1.0]], [1.0], "mfld"))
+    assert flat.sampler.kind == "mfld"
+
+
+def test_linear_potential_box_must_not_reach_below_zero():
+    # mmfld and projected-mfld stay inside the box, which must not reach
+    # below 0 where alpha_c != 1
+    for sampler in ("mmfld", "projected-mfld"):
+        with pytest.raises(ConfigError) as err:
+            parse_config(_box_linear([[0.0, 1.0], [-1.0, 1.0], [-2.0, 0.5]],
+                                     [2.0, 0.5, 1.0], sampler))
+        assert err.value.errors == ["'domain.bounds' reach below 0 at coordinates [1], "
+                                    "where 'objective.alpha' != 1 needs strictly "
+                                    "positive coordinates"]
+        # a switched-off coordinate may be negative; a bound at 0 is fine
+        cfg = parse_config(_box_linear([[0.0, 1.0], [-1.0, 1.0]], [2.0, 1.0], sampler))
+        assert cfg.domain.bounds == ((0.0, 1.0), (-1.0, 1.0))
+
+
+def test_oracle_margin_must_clear_every_centroid():
+    # build_grid needs margin < 1/(3 R); at R = 4000 the default 1e-4 does not
+    with pytest.raises(ConfigError) as err:
+        parse_config(minimal_raw(oracle={"resolution": 4000}))
+    assert err.value.errors == ["'oracle.margin' must be < 1/(3 * 'oracle.resolution') "
+                                "= 8.33333e-05 (got 0.0001)"]
+    assert parse_config(minimal_raw(oracle={"resolution": 3000})).oracle.margin == 1e-4
+    ok = parse_config(minimal_raw(oracle={"resolution": 4000, "margin": 8e-5}))
+    assert ok.oracle.resolution == 4000
 
 
 def test_range_error_names_key():

@@ -1,6 +1,8 @@
 """Sampler mechanics: steps, projection, feasibility, determinism, streams."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrormfld import rngstream
 from mirrormfld.dynamics import (
@@ -103,9 +105,41 @@ def test_project_simplex_vertex_saturation():
 
 def test_project_simplex_rows_sum_to_one(rng):
     v = rng.normal(scale=3.0, size=(500, 3))
-    p = project_simplex(v)
-    assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
+    p = project_simplex(v.T)
+    assert np.allclose(p.sum(axis=0), 1.0, atol=1e-12)
     assert np.all(p >= 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.sampled_from([2, 3, 10, 50]), n=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1e-3, 1.0, 100.0]),
+       offset=st.sampled_from([0.0, -5.0, 5.0]), ties=st.booleans(),
+       zeros=st.integers(0, 6))
+def test_project_simplex_is_the_euclidean_projection(d, n, seed, scale, offset, ties,
+                                                     zeros):
+    # coordinate-first batches: normals at three scales, shifted off the
+    # simplex along (1, ..., 1) or not, with repeated values and exact zeros
+    rng = np.random.default_rng(seed)
+    v = offset + scale * rng.standard_normal((d, n))
+    if ties:
+        v[d // 2:] = v[0]
+    v.flat[rng.integers(v.size, size=zeros)] = 0.0
+    p = project_simplex(v)
+    assert np.all(p >= 0.0)
+    # each of up to d active entries v_c - theta carries an ulp of |v|, so
+    # far outside (scale 100) the sum can only be 1 to about d * eps * |v|
+    # (2.4e-12 at d = 50 with 26 tied maxima near 100)
+    far = 8 * d * np.finfo(float).eps * np.max(np.abs(v))
+    assert np.max(np.abs(p.sum(axis=0) - 1.0)) <= (far if scale == 100.0 else 1e-12)
+    # optimality (KKT): p = max(v - theta, 0) for one theta per column, so
+    # v - p is constant on the support and v <= theta off it
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(v))))
+    for j in range(n):
+        on = p[:, j] > 0.0
+        theta = v[on, j] - p[on, j]
+        assert np.ptp(theta) <= tol
+        assert np.all(v[~on, j] <= theta[0] + tol)
+        assert project_simplex(v[:, j]).tobytes() == p[:, j].tobytes()
 
 
 def test_projected_step_identity_without_noise(simplex3):

@@ -145,21 +145,33 @@ def test_metrics_golden_file(tmp_path):
 
 # sha256 of the metrics CSV minus its wall_ms column, seed 0.  The golden file
 # covers d = 3 within 1e-12; these pin every byte at d = 50 (alpha = 0.5
-# drives particles into the near-face redraw) and on the network-risk box.
+# drives particles into the near-face redraw), on the network-risk box, and
+# for the Euclidean samplers: figure-1 with the barrier, d = 10 with alpha =
+# 0.5 (the projection lands on faces and the nudge runs), and the box.
 # Bit-exactness is promised per platform and build, like the golden file.
 PINNED_DIGESTS = {
     "simplex-d50": "202853d5990d1e0f2c9aec53324c4434066da8335f30e4fb5397e559d303822e",
     "simplex-d50-faces": "eb97da5f2bed8df4bbf56b72ea8003c81fa52c453377fd9c3b5fc538e22dce9c",
     "netrisk-box": "ebf6ff510a0acee9e7b7dbf888fec5dfce10e940be7d37d890e9f62b0a353a9c",
+    "figure1-barrier-projected": "afdfca1cef555eacb595cfb0a3757e3c86254f3bbbcbf0bf6d03dae9d5ebac34",
+    "simplex-d10-faces-projected": "fe491ee23385df5b417ff6a25c84ac33c1cd8870fdaf08822622ed837d853908",
+    "netrisk-box-projected": "4e31f62860462dfe99668cf897851796b2e0374e0d226d089ed1456449c6ee7b",
+    "netrisk-box-mfld": "3c1276495d2ddae561237dd73862d118c48183240b45be6a5c3aeba89031f30a",
 }
 
 
 def _pinned_config(name, tmp_path):
-    if name.startswith("simplex-d50"):
-        alpha = 0.5 if name.endswith("faces") else 2.0
-        raw = dirichlet_config(alpha=(alpha,) * 50, particles=500, steps=40, seed=0,
+    if name.startswith("figure1"):
+        return figure1_config(beta=1e-4, sampler="projected-mfld", particles=500,
+                              steps=40, seed=0, out_dir=str(tmp_path))
+    if name.startswith("simplex"):
+        d = 10 if "-d10-" in name else 50
+        alpha = 0.5 if "faces" in name else 2.0
+        raw = dirichlet_config(alpha=(alpha,) * d, particles=500, steps=40, seed=0,
                                out_dir=str(tmp_path))
         raw["diagnostics"]["every"] = 5
+        if name.endswith("projected"):
+            raw["sampler"]["kind"] = "projected-mfld"
         return raw
     # criterion 8's problem: a tanh network on two rings of 8 points
     theta = np.arange(8) * np.pi / 4
@@ -167,10 +179,12 @@ def _pinned_config(name, tmp_path):
     data = tmp_path / "two_rings.csv"
     data.write_text("z0,z1,y\n" + "".join(f"{float(a)!r},{float(b)!r},0.0\n"
                                           for a, b in np.concatenate([0.7 * ring, 1.4 * ring])))
+    kind = {"netrisk-box-projected": "projected-mfld",
+            "netrisk-box-mfld": "mfld"}.get(name, "mmfld")
     return {"domain": {"kind": "box", "bounds": [[-3.0, 3.0]] * 3},
             "objective": {"kind": "mf-network-risk", "dataset": str(data),
                           "parameter_bound": 3.0},
-            "sampler": {"kind": "mmfld", "eta": 0.1, "lambda": 0.1, "substeps": 1,
+            "sampler": {"kind": kind, "eta": 0.1, "lambda": 0.1, "substeps": 1,
                         "steps": 100, "particles": 500},
             "seed": 0, "output": {"dir": str(tmp_path), "dump_particles": False},
             "diagnostics": {"every": 1, "boundary_epsilon": 1e-3}}
