@@ -28,7 +28,10 @@ Schema (defaults in brackets)::
     }
 
 The network dataset CSV holds feature columns followed by one label column;
-its parameters live in the box [-parameter_bound, parameter_bound]^(p+1).
+its parameters live in the box [-parameter_bound, parameter_bound]^(p+1),
+which every ``domain.bounds`` pair must equal.  The ``sampler`` section
+parses to ``dynamics.SamplerConfig``, ``lambda`` to its ``temperature``;
+``particles`` is the ensemble size that ``runner.run_experiment`` draws.
 
 ``PRESETS`` build raw dictionaries of the paper's experiments at desk
 scale.  The paper's scale is one override, ``PAPER_PARTICLES``, which the
@@ -44,7 +47,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import rngstream
-from .dynamics import SAMPLERS
+from .dynamics import SAMPLERS, SamplerConfig
 from .errors import ConfigError
 from .geometry import BoxLogBarrierMap, SimplexEntropyMap
 from .objectives import LinearPotential, MeanMatchBarrier, NetworkRisk, load_dataset
@@ -69,16 +72,6 @@ class ObjectiveSpec:
 
 
 @dataclass(frozen=True)
-class SamplerSpec:
-    kind: str
-    eta: float
-    temperature: float
-    substeps: int
-    steps: int
-    particles: int
-
-
-@dataclass(frozen=True)
 class OracleSpec:
     resolution: int = 64
     margin: float = 1e-4
@@ -91,7 +84,7 @@ class OracleSpec:
 class RunConfig:
     domain: DomainSpec
     objective: ObjectiveSpec
-    sampler: SamplerSpec
+    sampler: SamplerConfig
     seed: int
     out_dir: str
     dump_particles: bool
@@ -111,14 +104,8 @@ class RunConfig:
         return {
             "domain": domain,
             "objective": obj,
-            "sampler": {
-                "kind": self.sampler.kind,
-                "eta": self.sampler.eta,
-                "lambda": self.sampler.temperature,
-                "substeps": self.sampler.substeps,
-                "steps": self.sampler.steps,
-                "particles": self.sampler.particles,
-            },
+            "sampler": {("lambda" if k == "temperature" else k): v
+                        for k, v in asdict(self.sampler).items()},
             "seed": self.seed,
             "output": {"dir": self.out_dir, "dump_particles": self.dump_particles},
             "diagnostics": {"every": self.every, "boundary_epsilon": self.boundary_epsilon},
@@ -269,8 +256,10 @@ def _parse_sampler(chk, raw):
     substeps = chk.value(raw, "sampler", "substeps", int, default=1, minimum=1)
     steps = chk.value(raw, "sampler", "steps", int, required=True, minimum=0)
     particles = chk.value(raw, "sampler", "particles", int, required=True, minimum=1)
-    return SamplerSpec(kind=kind, eta=eta or 1.0, temperature=0.0 if lam is None else lam,
-                       substeps=substeps, steps=steps or 0, particles=particles or 1)
+    parsed = {"kind": kind, "eta": eta, "temperature": lam, "substeps": substeps,
+              "steps": steps, "particles": particles}
+    # a value reported above is None; the dataclass default stands in for it
+    return SamplerConfig(**{k: v for k, v in parsed.items() if v is not None})
 
 
 def _cross_checks(chk, domain, objective, sampler):
@@ -292,6 +281,10 @@ def _cross_checks(chk, domain, objective, sampler):
                      "'objective.alpha' != 1 needs strictly positive coordinates")
     if objective.kind == "mf-network-risk" and domain.kind != "box":
         chk.fail("mf-network-risk requires a box domain over the network parameters")
+    elif (b := objective.parameter_bound) and (
+            off := [c for c, pair in enumerate(domain.bounds or ()) if pair != (-b, b)]):
+        chk.fail(f"'domain.bounds' must be [-{b}, {b}] at every coordinate, the box that "
+                 f"'objective.parameter_bound' = {b} sets (coordinates {off} differ)")
     if sampler.kind == "mfld" and (
             (objective.kind == "mean-match-barrier" and (objective.beta or 0.0) > 0)
             or any(a != 1.0 for a in objective.alpha or ())):
@@ -413,15 +406,15 @@ def figure1_config(beta: float = 0.0, *, sampler: str = "mmfld", seed: int = 0,
     }
 
 
-def dirichlet_config(*, alpha=(2.0, 2.0, 2.0), temperature: float = 0.1,
-                     eta: float = 1e-3, steps: int = 5000, particles: int = 50_000,
-                     seed: int = 0, out_dir: str = "out") -> dict:
-    """Linear potential whose stationary law is Dirichlet(alpha)."""
+def dirichlet_config(*, alpha=(2.0, 2.0, 2.0), steps: int = 5000,
+                     particles: int = 50_000, seed: int = 0, out_dir: str = "out") -> dict:
+    """Linear potential whose stationary law is Dirichlet(alpha): lambda
+    equals the potential's reference temperature."""
     return {
         "domain": {"kind": "simplex", "dim": len(alpha)},
         "objective": {"kind": "linear-potential", "alpha": list(alpha),
-                      "reference_temperature": temperature},
-        "sampler": {"kind": "mmfld", "eta": eta, "lambda": temperature,
+                      "reference_temperature": 0.1},
+        "sampler": {"kind": "mmfld", "eta": 1e-3, "lambda": 0.1,
                     "substeps": 1, "steps": steps, "particles": particles},
         "seed": seed,
         "output": {"dir": out_dir, "dump_particles": False},

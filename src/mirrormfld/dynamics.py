@@ -61,22 +61,24 @@ DUAL_STEP_CAP = 4.0
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Sampler selection and step parameters."""
+    """The config's ``sampler`` section.  ``particles`` is the ensemble size
+    that ``run_experiment`` draws; ``run_sampler`` steps whatever ensemble
+    it is given."""
 
-    sampler: str = "mmfld"
+    kind: str = "mmfld"
     eta: float = 1e-3
     temperature: float = 0.1
     substeps: int = 1
     steps: int = 0
+    particles: int = 1
 
     def __post_init__(self):
-        if self.sampler not in SAMPLERS:
-            raise ValueError(f"unknown sampler {self.sampler!r}")
-        for name, value in (("eta", self.eta), ("temperature", self.temperature)):
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative (got {value!r})")
-        if self.substeps < 1 or self.steps < 0:
-            raise ValueError("substeps must be >= 1 and steps >= 0")
+        if self.kind not in SAMPLERS:
+            raise ValueError(f"unknown sampler {self.kind!r}")
+        for name, least in (("eta", 0), ("temperature", 0), ("substeps", 1), ("steps", 0),
+                            ("particles", 1)):
+            if not least <= (value := getattr(self, name)) < math.inf:
+                raise ValueError(f"{name} must be finite and >= {least} (got {value!r})")
 
 
 @dataclass(frozen=True)
@@ -266,7 +268,7 @@ def euclidean_step(ensemble: ParticleEnsemble, mirror_map, objective, cfg: Sampl
     record = ensemble.evaluation(objective)
     k, seed = ensemble.iteration, ensemble.seed
     noise_scale = np.sqrt(2.0 * cfg.temperature * cfg.eta)
-    project = cfg.sampler == "projected-mfld"
+    project = cfg.kind == "projected-mfld"
     out = np.empty_like(pts)
 
     def update(lo, hi):
@@ -302,8 +304,8 @@ def run_sampler(ensemble: ParticleEnsemble, mirror_map, objective, cfg: SamplerC
         raise ValueError(f"workers must be >= 1 (got {workers})")
     if every < 1:
         raise ValueError(f"every must be >= 1 (got {every})")
-    step = _mirror_iteration if cfg.sampler == "mmfld" else euclidean_step
-    if cfg.sampler == "mmfld" and ensemble.dual is None:
+    step = _mirror_iteration if cfg.kind == "mmfld" else euclidean_step
+    if cfg.kind == "mmfld" and ensemble.dual is None:
         x = np.ascontiguousarray(ensemble.points[:, :mirror_map.intrinsic_dim].T)
         ensemble = replace(ensemble, points=mirror_map.embed(x).T, dual=mirror_map.forward(x))
     rows = []

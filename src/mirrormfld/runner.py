@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, build_mirror_map, build_objective
-from .dynamics import ParticleEnsemble, SamplerConfig, initial_ensemble, run_sampler
+from .dynamics import ParticleEnsemble, initial_ensemble, run_sampler
 from .errors import MismatchedObjectiveError
 
 Array = np.ndarray
@@ -134,14 +134,11 @@ def run_experiment(config: RunConfig, *, workers: int = 1) -> RunResult:
     """
     mirror_map = build_mirror_map(config)
     objective = build_objective(config)
-    spec = config.sampler
-    cfg = SamplerConfig(sampler=spec.kind, eta=spec.eta, temperature=spec.temperature,
-                        substeps=spec.substeps, steps=spec.steps)
-    ensemble = initial_ensemble(mirror_map, spec.particles, config.seed)
+    ensemble = initial_ensemble(mirror_map, config.sampler.particles, config.seed)
     record = metrics_recorder(mirror_map, objective, config.boundary_epsilon)
 
     t0 = time.perf_counter()
-    ensemble, rows = run_sampler(ensemble, mirror_map, objective, cfg,
+    ensemble, rows = run_sampler(ensemble, mirror_map, objective, config.sampler,
                                  diagnostics=record, every=config.every,
                                  workers=workers)
     runtime = time.perf_counter() - t0
@@ -149,11 +146,11 @@ def run_experiment(config: RunConfig, *, workers: int = 1) -> RunResult:
     final = rows[-1] if rows else record(ensemble)
     summary = {
         "version": __version__,
-        "label": f"{spec.kind}_seed{config.seed}",
-        "sampler": spec.kind,
+        "label": f"{config.sampler.kind}_seed{config.seed}",
+        "sampler": config.sampler.kind,
         "seed": config.seed,
         "iterations": ensemble.iteration,
-        "particles": spec.particles,
+        "particles": config.sampler.particles,
         "workers": workers,
         "final_objective": final.objective_value,
         "final_boundary_fraction": final.boundary_fraction,

@@ -297,7 +297,7 @@ def test_criterion_08_propagation_of_chaos():
     features = np.concatenate([0.7 * ring, 1.4 * ring])
     net = NetworkRisk(features=features, labels=np.zeros(16))
     box = BoxLogBarrierMap(bounds=((-3.0, 3.0),) * 3)
-    cfg = SamplerConfig(sampler="mmfld", eta=0.1, temperature=0.1, steps=1500)
+    cfg = SamplerConfig(kind="mmfld", eta=0.1, temperature=0.1, steps=1500)
 
     def final_gap(n, seed):
         # zero labels + symmetric box: the minimizer is exactly symmetric,

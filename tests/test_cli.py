@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from mirrormfld.cli import _load_run_config, build_parser, main
-from mirrormfld.config import PAPER_PARTICLES, PRESETS, figure1_config
+from mirrormfld.config import PAPER_PARTICLES, PRESETS, figure1_config, parse_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -161,7 +161,6 @@ def test_config_that_cannot_run_exits_2(tmp_path, capsys, domain, sampler, oracl
 
 
 def test_compare_subcommand(tmp_path, capsys):
-    from mirrormfld.config import parse_config
     from mirrormfld.runner import run_experiment
 
     a = run_experiment(parse_config(json.dumps(
@@ -193,7 +192,6 @@ def test_compare_non_json_exits_3(tmp_path, capsys):
 
 
 def test_compare_mismatched_exits_3(tmp_path):
-    from mirrormfld.config import parse_config
     from mirrormfld.runner import run_experiment
 
     a = run_experiment(parse_config(json.dumps(
@@ -236,3 +234,11 @@ def test_readme_cli_block_parses(tmp_path, monkeypatch):
             if argv[0] == "run" and args.paper_scale:
                 assert cfg.sampler.particles == PAPER_PARTICLES
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_readme_config_schema_block_is_canonical():
+    """README's ``jsonc`` schema block, comments stripped, parses and is its
+    own canonical form."""
+    block = re.search(r"```jsonc\n(.*?)```", README.read_text(), re.S).group(1)
+    raw = json.loads(re.sub(r"//[^\n]*", "", block))
+    assert parse_config(raw).to_dict() == raw

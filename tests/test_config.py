@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from mirrormfld.cli import main
 from mirrormfld.config import (
     FIGURE1_TARGET,
     PAPER_PARTICLES,
@@ -13,6 +14,7 @@ from mirrormfld.config import (
     parse_config,
     preset_config,
 )
+from mirrormfld.dynamics import SamplerConfig
 from mirrormfld.errors import ConfigError
 
 
@@ -54,6 +56,56 @@ def test_round_trip_idempotent():
     again = parse_config(json.dumps(cfg.to_dict()))
     assert again == cfg
     assert json.dumps(again.to_dict()) == json.dumps(cfg.to_dict())
+
+
+ORACLE_ECHO = {"resolution": 64, "margin": 1e-4, "damping": 0.5, "tol": 1e-8,
+               "max_iter": 10000}
+
+
+@pytest.mark.parametrize("raw, echo", [
+    (preset_config("figure1-barrier"), {
+        "domain": {"kind": "simplex", "dim": 3},
+        "objective": {"kind": "mean-match-barrier", "q": [0.5, 0.3, 0.2], "beta": 1e-4},
+        "sampler": {"kind": "mmfld", "eta": 3e-3, "lambda": 0.1, "substeps": 1,
+                    "steps": 2000, "particles": 10000},
+        "seed": 0,
+        "output": {"dir": "out", "dump_particles": False},
+        "diagnostics": {"every": 1, "boundary_epsilon": 1e-3},
+        "oracle": ORACLE_ECHO}),
+    (preset_config("dirichlet"), {
+        "domain": {"kind": "simplex", "dim": 3},
+        "objective": {"kind": "linear-potential", "alpha": [2.0, 2.0, 2.0],
+                      "reference_temperature": 0.1},
+        "sampler": {"kind": "mmfld", "eta": 1e-3, "lambda": 0.1, "substeps": 1,
+                    "steps": 5000, "particles": 50000},
+        "seed": 0,
+        "output": {"dir": "out", "dump_particles": False},
+        "diagnostics": {"every": 50, "boundary_epsilon": 1e-3},
+        "oracle": ORACLE_ECHO}),
+    # no preset runs the network objective; a minimal config of it fills in
+    # every default
+    ({"domain": {"kind": "box", "bounds": [[-3, 3]] * 3},
+      "objective": {"kind": "mf-network-risk", "dataset": "net.csv"},
+      "sampler": {"kind": "projected-mfld", "eta": 0.1, "lambda": 0.1, "steps": 3,
+                  "particles": 40}}, {
+        "domain": {"kind": "box", "bounds": [[-3.0, 3.0]] * 3},
+        "objective": {"kind": "mf-network-risk", "dataset": "net.csv",
+                      "parameter_bound": 3.0},
+        "sampler": {"kind": "projected-mfld", "eta": 0.1, "lambda": 0.1, "substeps": 1,
+                    "steps": 3, "particles": 40},
+        "seed": 0,
+        "output": {"dir": "out", "dump_particles": False},
+        "diagnostics": {"every": 1, "boundary_epsilon": 1e-3},
+        "oracle": ORACLE_ECHO}),
+], ids=["mean-match-barrier", "linear-potential", "mf-network-risk"])
+def test_summary_config_echo_pinned(raw, echo):
+    """The summary's config echo, key order and number types included: run
+    comparison and the benchmark read it by these names."""
+    cfg = parse_config(raw)
+    assert isinstance(cfg.sampler, SamplerConfig)
+    assert json.dumps(cfg.to_dict()) == json.dumps(echo)
+    assert list(cfg.to_dict()["sampler"]) == ["kind", "eta", "lambda", "substeps", "steps",
+                                              "particles"]
 
 
 def test_mapping_parses_like_its_json_text():
@@ -155,6 +207,17 @@ def test_sampler_kind_and_seed_range_messages():
     assert parse_config(raw).seed == (1 << 64) - 1
 
 
+def test_every_bad_sampler_key_is_one_config_error():
+    raw = minimal_raw()
+    raw["sampler"] = {"kind": "langevin", "eta": -1, "lambda": "hot", "substeps": 0,
+                      "steps": 1.5, "particles": 0}
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert len(err.value.errors) == 6
+    for key in ("kind", "eta", "lambda", "substeps", "steps", "particles"):
+        assert any(f"'sampler.{key}'" in e for e in err.value.errors), key
+
+
 def test_unknown_key_suggestion():
     raw = minimal_raw()
     raw["sampler"]["lamda"] = 0.1
@@ -224,6 +287,27 @@ def test_builders(tmp_path, rng):
     cfg = parse_config(json.dumps(raw))
     assert build_mirror_map(cfg).kind == "box-log-barrier"
     assert build_objective(cfg).n_examples == 5
+
+
+def test_network_box_must_be_the_parameter_bound_box(tmp_path):
+    raw = {
+        "domain": {"kind": "box", "bounds": [[-3, 3], [-0.5, 0.5], [-3, 3]]},
+        "objective": {"kind": "mf-network-risk", "dataset": "d.csv",
+                      "parameter_bound": 0.5},
+        "sampler": {"kind": "mmfld", "eta": 0.05, "lambda": 0.05,
+                    "steps": 5, "particles": 10},
+        "output": {"dir": str(tmp_path)},
+    }
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.errors == ["'domain.bounds' must be [-0.5, 0.5] at every coordinate, "
+                                "the box that 'objective.parameter_bound' = 0.5 sets "
+                                "(coordinates [0, 2] differ)"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path)]) == 2
+    raw["domain"]["bounds"] = [[-0.5, 0.5]] * 3
+    assert parse_config(raw).domain.bounds == ((-0.5, 0.5),) * 3
 
 
 def test_network_bounds_must_match_feature_count(tmp_path):

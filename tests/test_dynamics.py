@@ -27,7 +27,7 @@ def constant_potential():
 # -- single steps -------------------------------------------------------------
 
 def test_zero_drift_zero_noise_is_identity(simplex3):
-    cfg = SamplerConfig(sampler="mmfld", eta=0.1, temperature=0.0, steps=1)
+    cfg = SamplerConfig(kind="mmfld", eta=0.1, temperature=0.0, steps=1)
     ens = ParticleEnsemble(points=np.array([[0.3, 0.3, 0.4], [0.2, 0.6, 0.2]]), seed=0)
     out, _ = run_sampler(ens, simplex3, constant_potential(), cfg)
     assert np.allclose(out.points, ens.points, atol=1e-14)
@@ -35,7 +35,7 @@ def test_zero_drift_zero_noise_is_identity(simplex3):
 
 
 def test_zero_eta_is_identity_any_temperature(simplex3):
-    cfg = SamplerConfig(sampler="mmfld", eta=0.0, temperature=0.7, steps=1)
+    cfg = SamplerConfig(kind="mmfld", eta=0.0, temperature=0.7, steps=1)
     ens = ParticleEnsemble(points=np.array([[0.25, 0.35, 0.4]]), seed=3)
     out, _ = run_sampler(ens, simplex3, MeanMatchBarrier(target=Q), cfg)
     assert np.allclose(out.points, ens.points, atol=1e-14)
@@ -43,7 +43,7 @@ def test_zero_eta_is_identity_any_temperature(simplex3):
 
 def test_drift_step_composes_geometry_and_objective(simplex3):
     # single particle at the barycenter, lambda = 0: pure mirror drift
-    cfg = SamplerConfig(sampler="mmfld", eta=0.1, temperature=0.0, steps=1)
+    cfg = SamplerConfig(kind="mmfld", eta=0.1, temperature=0.0, steps=1)
     ens = ParticleEnsemble(points=np.array([[1 / 3, 1 / 3, 1 / 3]]), seed=0)
     out, _ = run_sampler(ens, simplex3, MeanMatchBarrier(target=Q, beta=0.0), cfg)
     g_ambient = 2 * (np.array([1 / 3, 1 / 3, 1 / 3]) - np.array(Q))
@@ -143,7 +143,7 @@ def test_project_simplex_is_the_euclidean_projection(d, n, seed, scale, offset, 
 
 
 def test_projected_step_identity_without_noise(simplex3):
-    cfg = SamplerConfig(sampler="projected-mfld", eta=0.0, temperature=0.0, steps=1)
+    cfg = SamplerConfig(kind="projected-mfld", eta=0.0, temperature=0.0, steps=1)
     pts = np.array([[0.3, 0.3, 0.4], [0.2, 0.6, 0.2]])
     out = euclidean_step(ParticleEnsemble(points=pts, seed=0), simplex3,
                          constant_potential(), cfg)
@@ -151,7 +151,7 @@ def test_projected_step_identity_without_noise(simplex3):
 
 
 def test_projected_step_keeps_simplex(simplex3):
-    cfg = SamplerConfig(sampler="projected-mfld", eta=3e-3, temperature=0.1, steps=1)
+    cfg = SamplerConfig(kind="projected-mfld", eta=3e-3, temperature=0.1, steps=1)
     ens = initial_ensemble(simplex3, 500, seed=1)
     out = euclidean_step(ens, simplex3, MeanMatchBarrier(target=Q, beta=1e-4), cfg)
     assert np.allclose(out.points.sum(axis=1), 1.0, atol=1e-9)
@@ -161,7 +161,7 @@ def test_projected_step_keeps_simplex(simplex3):
 def test_euclidean_step_box_clips(rng):
     from mirrormfld.geometry import BoxLogBarrierMap
     box = BoxLogBarrierMap(bounds=((-1.0, 1.0),) * 2)
-    cfg = SamplerConfig(sampler="projected-mfld", eta=0.5, temperature=0.5, steps=1)
+    cfg = SamplerConfig(kind="projected-mfld", eta=0.5, temperature=0.5, steps=1)
     pts = rng.uniform(-1, 1, size=(200, 2))
     obj = LinearPotential(alpha=(1.0, 1.0), reference_temperature=1.0)
     out = euclidean_step(ParticleEnsemble(points=pts, seed=2), box, obj, cfg)
@@ -201,7 +201,7 @@ def test_zero_steps_returns_unchanged(simplex3):
     # zero steps only enter the mirror state; an ensemble already in it is
     # returned as it is
     ens = initial_ensemble(simplex3, 10, seed=0)
-    cfg = SamplerConfig(sampler="mmfld", eta=1e-2, temperature=0.1, steps=0)
+    cfg = SamplerConfig(kind="mmfld", eta=1e-2, temperature=0.1, steps=0)
     out, rows = run_sampler(ens, simplex3, MeanMatchBarrier(target=Q), cfg,
                             diagnostics=lambda e: e.iteration)
     assert rows == [] and out.iteration == ens.iteration
@@ -224,7 +224,7 @@ def test_dual_is_coordinate_first():
 
 def test_diagnostics_cadence(simplex3):
     ens = initial_ensemble(simplex3, 16, seed=0)
-    cfg = SamplerConfig(sampler="mmfld", eta=1e-3, temperature=0.1, steps=10)
+    cfg = SamplerConfig(kind="mmfld", eta=1e-3, temperature=0.1, steps=10)
     _, rows = run_sampler(ens, simplex3, MeanMatchBarrier(target=Q), cfg,
                           diagnostics=lambda e: e.iteration, every=4)
     assert rows == [0, 4, 8, 10]
@@ -232,7 +232,7 @@ def test_diagnostics_cadence(simplex3):
 
 def test_same_seed_identical_runs(simplex3):
     obj = MeanMatchBarrier(target=Q, beta=1e-4)
-    cfg = SamplerConfig(sampler="mmfld", eta=3e-3, temperature=0.1, steps=50)
+    cfg = SamplerConfig(kind="mmfld", eta=3e-3, temperature=0.1, steps=50)
     a, _ = run_sampler(initial_ensemble(simplex3, 300, seed=9), simplex3, obj, cfg)
     b, _ = run_sampler(initial_ensemble(simplex3, 300, seed=9), simplex3, obj, cfg)
     assert np.array_equal(a.points, b.points)
@@ -241,7 +241,7 @@ def test_same_seed_identical_runs(simplex3):
 @pytest.mark.parametrize("workers", [2, 8])
 def test_worker_count_invariance(simplex3, workers):
     obj = MeanMatchBarrier(target=Q, beta=0.0)
-    cfg = SamplerConfig(sampler="mmfld", eta=3e-3, temperature=0.1, steps=30)
+    cfg = SamplerConfig(kind="mmfld", eta=3e-3, temperature=0.1, steps=30)
     a, _ = run_sampler(initial_ensemble(simplex3, 500, seed=2), simplex3, obj, cfg)
     b, _ = run_sampler(initial_ensemble(simplex3, 500, seed=2), simplex3, obj, cfg,
                        workers=workers)
@@ -252,7 +252,7 @@ def test_worker_count_invariance(simplex3, workers):
 def test_worker_count_invariance_network(sampler):
     # every chunk reads row slices of the one record of the whole ensemble
     box, net = _rings_network()
-    cfg = SamplerConfig(sampler=sampler, eta=0.1, temperature=0.1, steps=5)
+    cfg = SamplerConfig(kind=sampler, eta=0.1, temperature=0.1, steps=5)
     start = initial_ensemble(box, 4001, seed=3)
     outs = [run_sampler(start, box, net, cfg, workers=w)[0] for w in (1, 2, 3, 8)]
     for out in outs[1:]:
@@ -263,7 +263,7 @@ def test_particle_permutation_equivariance(simplex3, rng):
     # same particles under a permuted labelling: outputs permute identically
     # when the noise rows are permuted with them (per-particle streams)
     obj = MeanMatchBarrier(target=Q, beta=0.0)
-    cfg = SamplerConfig(sampler="mmfld", eta=3e-3, temperature=0.1, steps=1)
+    cfg = SamplerConfig(kind="mmfld", eta=3e-3, temperature=0.1, steps=1)
     base = initial_ensemble(simplex3, 64, seed=7)
     perm = rng.permutation(64)
 
@@ -292,7 +292,7 @@ def test_run_sampler_looks_up_step_at_call_time(simplex3, monkeypatch, sampler):
             calls[_name] += 1
             return _step(*args, **kwargs)
         monkeypatch.setattr(dyn, name, counting)
-    cfg = SamplerConfig(sampler=sampler, eta=1e-3, temperature=0.1, steps=7)
+    cfg = SamplerConfig(kind=sampler, eta=1e-3, temperature=0.1, steps=7)
     run_sampler(initial_ensemble(simplex3, 16, seed=0), simplex3,
                 MeanMatchBarrier(target=Q), cfg, workers=2)
     used = "_mirror_iteration" if sampler == "mmfld" else "euclidean_step"
@@ -316,12 +316,12 @@ def _split_case(name):
     box, net = _rings_network()
     return {
         "mmfld-simplex": (simplex, MeanMatchBarrier(target=Q, beta=1e-4),
-                          SamplerConfig(sampler="mmfld", eta=3e-3, temperature=0.1)),
-        "mmfld-box": (box, net, SamplerConfig(sampler="mmfld", eta=0.1, temperature=0.1)),
+                          SamplerConfig(kind="mmfld", eta=3e-3, temperature=0.1)),
+        "mmfld-box": (box, net, SamplerConfig(kind="mmfld", eta=0.1, temperature=0.1)),
         "projected-mfld": (simplex, MeanMatchBarrier(target=Q, beta=0.0),
-                           SamplerConfig(sampler="projected-mfld", eta=3e-3,
+                           SamplerConfig(kind="projected-mfld", eta=3e-3,
                                          temperature=0.1)),
-        "mfld": (box, net, SamplerConfig(sampler="mfld", eta=0.1, temperature=0.1)),
+        "mfld": (box, net, SamplerConfig(kind="mfld", eta=0.1, temperature=0.1)),
     }[name]
 
 
@@ -346,7 +346,7 @@ def test_split_run_equals_unsplit_run(case):
     split, second_rows = run(half, k)
     assert split.iteration == whole.iteration == 2 * k
     assert np.array_equal(split.points, whole.points)
-    if cfg.sampler == "mmfld":
+    if cfg.kind == "mmfld":
         assert np.array_equal(split.dual, whole.dual)
     else:
         assert split.dual is None and whole.dual is None
@@ -369,7 +369,7 @@ def test_tanh_layer_runs_once_per_ensemble(monkeypatch, sampler, every):
     monkeypatch.setattr(NetworkRisk, "neuron_outputs",
                         lambda self, amb: calls.append(amb.shape) or outputs(self, amb))
     k = 20
-    cfg = SamplerConfig(sampler=sampler, eta=0.1, temperature=0.1, steps=k)
+    cfg = SamplerConfig(kind=sampler, eta=0.1, temperature=0.1, steps=k)
     diagnostics = None if every is None else metrics_recorder(box, net, 1e-3)
     run_sampler(initial_ensemble(box, 50, seed=1), box, net, cfg,
                 diagnostics=diagnostics, every=every or 1, workers=2)
@@ -404,7 +404,7 @@ def test_second_objective_gets_its_own_record(simplex3):
 def test_feasibility_over_long_run(simplex3):
     # strict interiority of every particle after every step
     obj = MeanMatchBarrier(target=Q, beta=0.0)
-    cfg = SamplerConfig(sampler="mmfld", eta=3e-3, temperature=0.1, steps=1000)
+    cfg = SamplerConfig(kind="mmfld", eta=3e-3, temperature=0.1, steps=1000)
     mins = []
     ens = initial_ensemble(simplex3, 2000, seed=123)
     run_sampler(ens, simplex3, obj, cfg,
@@ -427,7 +427,7 @@ def test_sampler_error_carries_iteration(simplex3):
             raise RuntimeError("boom")
 
     ens = initial_ensemble(simplex3, 4, seed=0)
-    cfg = SamplerConfig(sampler="mmfld", eta=1e-3, temperature=0.1, steps=3)
+    cfg = SamplerConfig(kind="mmfld", eta=1e-3, temperature=0.1, steps=3)
     with pytest.raises(SamplerError) as err:
         run_sampler(ens, simplex3, Broken(), cfg)
     assert err.value.iteration == 0
@@ -440,7 +440,7 @@ def test_diagnostics_failure_carries_tick_iteration(simplex3):
         return ens.iteration
 
     ens = initial_ensemble(simplex3, 4, seed=0)
-    cfg = SamplerConfig(sampler="mmfld", eta=1e-3, temperature=0.1, steps=6)
+    cfg = SamplerConfig(kind="mmfld", eta=1e-3, temperature=0.1, steps=6)
     with pytest.raises(SamplerError, match="bad tick") as err:
         run_sampler(ens, simplex3, MeanMatchBarrier(target=Q, beta=0.0), cfg,
                     diagnostics=diagnostics, every=2)
@@ -453,7 +453,7 @@ def test_mfld_sampler_unconstrained(rng):
     from mirrormfld.geometry import BoxLogBarrierMap
     box = BoxLogBarrierMap(bounds=((-10.0, 10.0),) * 2)
     obj = LinearPotential(alpha=(1.0, 1.0), reference_temperature=1.0)
-    cfg = SamplerConfig(sampler="mfld", eta=0.05, temperature=0.5, steps=100)
+    cfg = SamplerConfig(kind="mfld", eta=0.05, temperature=0.5, steps=100)
     ens = initial_ensemble(box, 2000, seed=6)
     out, _ = run_sampler(ens, box, obj, cfg)
     spread = np.var(out.points - ens.points, axis=0)
@@ -466,7 +466,7 @@ def test_continuous_limit_consistency(simplex3):
     obj = LinearPotential(alpha=(2.0, 2.0, 2.0), reference_temperature=0.1)
 
     def settled_mean(eta, steps, n=4000):
-        cfg = SamplerConfig(sampler="mmfld", eta=eta, temperature=0.1, steps=steps)
+        cfg = SamplerConfig(kind="mmfld", eta=eta, temperature=0.1, steps=steps)
         state = {}
         run_sampler(initial_ensemble(simplex3, n, seed=31), simplex3, obj, cfg,
                     diagnostics=lambda e: state.update(amb=e.points), every=steps)
@@ -480,11 +480,14 @@ def test_continuous_limit_consistency(simplex3):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SamplerConfig(sampler="unknown")
+        SamplerConfig(kind="unknown")
     with pytest.raises(ValueError):
         SamplerConfig(eta=-1.0)
-    with pytest.raises(ValueError):
-        SamplerConfig(substeps=0)
+    # each count is rejected by name
+    for name, value, least in (("substeps", 0, 1), ("steps", -1, 0), ("particles", 0, 1)):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and >= {least} "):
+            SamplerConfig(**{name: value})
+    assert SamplerConfig().particles == 1
     # non-finite step parameters are rejected by name, before any step runs
     for name, value in (("eta", np.nan), ("eta", np.inf), ("temperature", np.inf),
                         ("temperature", np.nan)):
@@ -494,7 +497,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("workers", [0, -4])
 def test_run_sampler_rejects_workers_below_one(simplex3, workers):
-    cfg = SamplerConfig(sampler="mmfld", eta=1e-3, temperature=0.1, steps=1)
+    cfg = SamplerConfig(kind="mmfld", eta=1e-3, temperature=0.1, steps=1)
     start = initial_ensemble(simplex3, 8, seed=0)
     with pytest.raises(ValueError, match="workers must be >= 1"):
         run_sampler(start, simplex3, constant_potential(), cfg, workers=workers)
@@ -502,7 +505,7 @@ def test_run_sampler_rejects_workers_below_one(simplex3, workers):
 
 @pytest.mark.parametrize("every", [0, -1])
 def test_run_sampler_rejects_every_below_one(simplex3, every):
-    cfg = SamplerConfig(sampler="mmfld", eta=1e-3, temperature=0.1, steps=1)
+    cfg = SamplerConfig(kind="mmfld", eta=1e-3, temperature=0.1, steps=1)
     start = initial_ensemble(simplex3, 8, seed=0)
     with pytest.raises(ValueError, match="every must be >= 1"):
         run_sampler(start, simplex3, constant_potential(), cfg,
