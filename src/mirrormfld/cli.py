@@ -68,6 +68,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_oracle(args) -> int:
     cfg = _load_run_config(args)
+    domain = cfg.domain
+    if (domain.kind, domain.dim) != ("simplex", 3):
+        raise ConfigError([f"the grid oracle works on the 3-coordinate simplex: 'domain.kind' "
+                           f"must be 'simplex' with 'domain.dim' 3 (got a {domain.kind!r} of "
+                           f"dimension {domain.dim or len(domain.bounds)})"])
     objective = config_mod.build_objective(cfg)
     grid = oracle.build_grid(cfg.oracle.resolution, cfg.oracle.margin)
     result = oracle.fixed_point_solve(

@@ -196,6 +196,9 @@ def _parse_domain(chk, raw):
             chk.fail("'domain.bounds' does not apply to the simplex domain")
         return DomainSpec(kind="simplex", dim=dim)
     if kind == "box":
+        if "dim" in raw:
+            chk.fail("'domain.dim' does not apply to the box domain: 'domain.bounds' "
+                     "sets its dimension")
         bounds = raw.get("bounds")
         ok = (isinstance(bounds, list) and bounds
               and all(isinstance(b, list) and len(b) == 2

@@ -96,7 +96,6 @@ class ParticleEnsemble:
     points: Array
     iteration: int = 0
     seed: int = 0
-    protocol: str = field(default=rngstream.PROTOCOL)
     dual: Array | None = None
     # (objective, record) pairs memoised by ``evaluation``: derived data, so
     # outside ==, repr and ``replace``, which starts a new ensemble empty

@@ -300,9 +300,6 @@ class SimplexEntropyMap:
         """
         y = _as_points(y, self.intrinsic_dim, "dual point")
         xi = np.asarray(xi, dtype=np.float64)
-        single = y.ndim == 1
-        if single:
-            y, xi = y[:, None], xi[:, None]
         ambient = self.ambient_from_dual(y)
         # the kick is built in the factor's root: L xi in O(m), since column k
         # of L is constant below its diagonal, so row k adds the running sum
@@ -325,7 +322,7 @@ class SimplexEntropyMap:
                 amb[face, np.arange(amb.shape[1])] = 0.5 * scale * exp_draw
                 amb /= coordinate_sum(amb)
                 kick[:, deep] = np.log(amb[:-1]) - np.log(amb[-1])
-        return kick[:, 0] if single else kick
+        return kick
 
     # -- probe support ----------------------------------------------------
 

@@ -17,23 +17,23 @@ The common surface, duck-typed across the three kinds, runs through one
     strictly positive coordinates.  Returns the ``Evaluation``.
 ``value(record)``
     F of the weighted empirical measure.
-``potential(record, ambient=None)``
-    The first variation dF/dmu as a scalar per point, up to its additive
-    constant, at the record's own points or at ``ambient``.
-``potential_grad(record, ambient=None)``
-    Ambient gradient of the first variation per point, at the record's own
-    points or at ``ambient``; the per-particle drift up to the mirror
-    pullback.  Always a new (N, d) array, which the mirror step turns into
-    the drift in place.
+``potential(record)``
+    The first variation dF/dmu as a scalar per point of the record, up to
+    its additive constant.
+``potential_grad(record)``
+    Ambient gradient of the first variation per point of the record; the
+    per-particle drift up to the mirror pullback.  Always a new (N, d)
+    array, which the mirror step turns into the drift in place.
 
-Points other than the record's own go through the same formulas; they are
-scanned for positivity on each call.  A sampler chunk reads
-``record.rows(lo, hi)``.
+Records come only from ``stats`` and from their ``rows`` slices (a sampler
+chunk reads ``record.rows(lo, hi)``).  ``first_variation_grad`` evaluates
+the frozen first variation at other points by giving them their own record
+with the cloud's statistic swapped in.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,15 +56,6 @@ def _weights(n, weights):
 def _require_positive(ambient, what):
     if np.min(ambient) <= 0.0:
         raise DomainViolationError(f"{what} requires strictly positive coordinates")
-
-
-def _points(record, ambient, scan):
-    """The evaluation points: the record's own, scanned when it was built,
-    or ``ambient``, scanned now."""
-    if ambient is None:
-        return record.ambient
-    scan(ambient)
-    return ambient
 
 
 @dataclass(frozen=True)
@@ -133,21 +124,20 @@ class LinearPotential:
         self._scan(ambient)
         return Evaluation(ambient, weights, None)
 
-    def potential(self, record: Evaluation, ambient: Array | None = None) -> Array:
-        ambient = _points(record, ambient, self._scan)
+    def potential(self, record: Evaluation) -> Array:
         # switched-off coordinates may be anything, even outside the simplex
         with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.log(ambient)
+            logs = np.log(record.ambient)
         logs[:, self._off] = 0.0
         return -logs @ self._coef
 
     def value(self, record: Evaluation) -> float:
         return float(record.weight_vector @ self.potential(record))
 
-    def potential_grad(self, record: Evaluation, ambient: Array | None = None) -> Array:
+    def potential_grad(self, record: Evaluation) -> Array:
         """The (N, d) gradient, built coordinate-first and returned transposed,
         so that the mirror step's pullback reads contiguous rows."""
-        ambient = _points(record, ambient, self._scan)
+        ambient = record.ambient
         grad = np.empty(ambient.shape[::-1])
         # switched-off coordinates may be zero: their rows are overwritten
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -201,15 +191,15 @@ class MeanMatchBarrier:
                                      @ coordinate_sum(np.log(record.ambient).T))
         return out
 
-    def potential(self, record: Evaluation, ambient: Array | None = None) -> Array:
-        ambient = _points(record, ambient, self._scan)
+    def potential(self, record: Evaluation) -> Array:
+        ambient = record.ambient
         g = 2.0 * ambient @ (record.stats - self._q)
         if self.beta > 0.0:
             g = g - self.beta * coordinate_sum(np.log(ambient).T)
         return g
 
-    def potential_grad(self, record: Evaluation, ambient: Array | None = None) -> Array:
-        ambient = _points(record, ambient, self._scan)
+    def potential_grad(self, record: Evaluation) -> Array:
+        ambient = record.ambient
         g = np.broadcast_to(2.0 * (record.stats - self._q), ambient.shape).copy()
         if self.beta > 0.0:
             g -= self.beta / ambient
@@ -256,9 +246,6 @@ class NetworkRisk:
         z += ambient[..., -1:]
         return np.tanh(z, out=z)
 
-    def _activations(self, record: Evaluation, ambient: Array | None) -> Array:
-        return record.per_point if ambient is None else self.neuron_outputs(ambient)
-
     def stats(self, ambient: Array, weights=None) -> Evaluation:
         """Statistic: the model predictions h_mu(z_j) for all j; per point:
         the activations."""
@@ -270,12 +257,12 @@ class NetworkRisk:
         resid = record.stats - self.labels
         return float(resid @ resid) / (2.0 * self.n_examples)
 
-    def potential(self, record: Evaluation, ambient: Array | None = None) -> Array:
+    def potential(self, record: Evaluation) -> Array:
         resid = (record.stats - self.labels) / self.n_examples
-        return self._activations(record, ambient) @ resid
+        return record.per_point @ resid
 
-    def potential_grad(self, record: Evaluation, ambient: Array | None = None) -> Array:
-        act = self._activations(record, ambient)
+    def potential_grad(self, record: Evaluation) -> Array:
+        act = record.per_point
         resid = (record.stats - self.labels) / self.n_examples
         # scale = (1 - act^2) * resid, (N, n), built in place as in neuron_outputs
         scale = act * act
@@ -289,29 +276,47 @@ class NetworkRisk:
 def load_dataset(path) -> tuple[Array, Array]:
     """Read an (n, p+1) CSV of feature columns followed by a label column.
 
-    A non-numeric first row is treated as a header and skipped.  A
-    non-finite cell (nan, inf) raises ``ValueError`` naming the file, the
-    row and the column, both counted from 1 as in the file.
+    A non-numeric first row is treated as a header and skipped.  Every other
+    fault raises ``ValueError`` naming the file and the row, both counted
+    from 1 as in the file: a non-numeric or non-finite cell (with its
+    column), a row of fewer than two cells or of another width than the
+    first data row, and a file with no data row.
     """
-    rows = []
+    rows, header = [], None
     with open(Path(path), newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
             if not row:
                 continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                if rows:
-                    raise
-                continue
-            bad = np.flatnonzero(~np.isfinite(rows[-1]))
+            where = f"dataset {path}: row {reader.line_num}"
+            values = []
+            for cell in row:
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    break
+            if len(values) < len(row):
+                if not rows and header is None:
+                    header = reader.line_num
+                    continue
+                col = len(values)
+                raise ValueError(f"{where}, column {col + 1}: non-numeric value "
+                                 f"{row[col].strip()!r}")
+            bad = np.flatnonzero(~np.isfinite(values))
             if bad.size:
-                raise ValueError(f"dataset {path}: row {reader.line_num}, column "
-                                 f"{bad[0] + 1}: non-finite value {row[bad[0]].strip()!r}")
-    data = np.asarray(rows, dtype=np.float64)
-    if data.ndim != 2 or data.shape[1] < 2:
-        raise ValueError(f"dataset {path} must have at least one feature column and a label")
+                raise ValueError(f"{where}, column {bad[0] + 1}: non-finite value "
+                                 f"{row[bad[0]].strip()!r}")
+            if rows and len(values) != len(rows[0]):
+                raise ValueError(f"{where}: {len(values)} cells, but the first data row "
+                                 f"has {len(rows[0])}")
+            if len(values) < 2:
+                raise ValueError(f"{where}: one cell, but a row needs at least one "
+                                 "feature column and a label")
+            rows.append(values)
+    if not rows:
+        after = "" if header is None else f" after the header at row {header}"
+        raise ValueError(f"dataset {path}: no data rows{after}")
+    data = np.asarray(rows)
     return data[:, :-1], data[:, -1]
 
 
@@ -330,10 +335,11 @@ def first_variation_grad(objective, x: Array, record: Evaluation, mirror_map) ->
 
     x may be a single intrinsic point (m,) or a stack (..., m); ``record``
     must be the evaluation of the ensemble that defines the empirical
-    measure.
+    measure.  The points get their own record, scanned by ``stats``, with
+    the ensemble's statistic swapped in.
     """
-    ambient = _embed_rows(mirror_map, np.atleast_2d(x))
-    g = mirror_map.pullback(objective.potential_grad(record, ambient).T).T
+    at_x = objective.stats(_embed_rows(mirror_map, np.atleast_2d(x)))
+    g = mirror_map.pullback(objective.potential_grad(replace(at_x, stats=record.stats)).T).T
     return g[0] if np.asarray(x).ndim == 1 else g.reshape(np.shape(x))
 
 

@@ -269,16 +269,13 @@ class SandwichResult:
 
 
 def entropy_sandwich_check(grid: SimplexGrid, objective, temperature: float,
-                           mu: GridMeasure,
-                           solution: GridMeasure | None = None) -> SandwichResult:
+                           mu: GridMeasure, solution: GridMeasure) -> SandwichResult:
     """Check lambda*KL(mu||mu*) <= L(mu) - L(mu*) <= lambda*KL(mu||mu_hat).
 
-    ``solution`` is the fixed-point minimizer (solved here when omitted).
+    ``solution`` is the fixed-point minimizer mu*, from ``fixed_point_solve``.
     The tolerance is ``1e-3 * max(1, |middle|)``, absorbing fixed-point
     residual and roundoff; the inequality itself is exact on the grid.
     """
-    if solution is None:
-        solution = fixed_point_solve(grid, objective, temperature).measure
     lower = temperature * kl_divergence(mu, solution)
     middle = (grid_functionals(grid, objective, mu, temperature).free_energy
               - grid_functionals(grid, objective, solution, temperature).free_energy)

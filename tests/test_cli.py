@@ -114,6 +114,25 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert sum(payload["mean"]) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("domain", [{"kind": "box", "bounds": [[0.1, 1.0]] * 3},
+                                    {"kind": "simplex", "dim": 4}], ids=["box", "simplex4"])
+def test_oracle_rejects_domain_other_than_the_2_simplex(tmp_path, capsys, domain):
+    # the grid lives on the 2-simplex; a box or a larger simplex must not be
+    # solved there as if it were one
+    alpha = [2.0] * (3 if domain["kind"] == "box" else 4)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "domain": domain,
+        "objective": {"kind": "linear-potential", "alpha": alpha,
+                      "reference_temperature": 0.1},
+        "sampler": {"kind": "mmfld", "eta": 0.01, "lambda": 0.1, "steps": 50,
+                    "particles": 200},
+        "output": {"dir": str(tmp_path / "out")}}))
+    assert main(["oracle", str(cfg)]) == 2
+    assert "'domain.kind'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bounds_subcommand(tmp_path, capsys):
     out = tmp_path / "bounds.json"
     code = main(["bounds", "--c1", "1", "--c2", "4", "--diameter", "1",

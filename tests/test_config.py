@@ -141,6 +141,21 @@ def _box_linear(bounds, alpha, sampler):
                                 "steps": 10, "particles": 100})
 
 
+def test_domain_rejects_the_other_kinds_key():
+    # the box takes its dimension from its bounds, the simplex has no bounds:
+    # a key of the other kind is an error naming it, never silently dropped
+    raw = _box_linear([[0.1, 1.0]] * 3, [2.0, 2.0, 2.0], "mmfld")
+    raw["domain"]["dim"] = 7
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert err.value.errors == ["'domain.dim' does not apply to the box domain: "
+                                "'domain.bounds' sets its dimension"]
+    with pytest.raises(ConfigError) as err:
+        parse_config(minimal_raw(domain={"kind": "simplex", "dim": 3,
+                                         "bounds": [[0.0, 1.0]] * 3}))
+    assert err.value.errors == ["'domain.bounds' does not apply to the simplex domain"]
+
+
 def test_mfld_rejected_where_objective_needs_positive_coordinates():
     barrier = figure1_config(beta=1e-4, sampler="mfld")
     dirichlet = dirichlet_config()

@@ -423,7 +423,7 @@ def test_sampler_error_carries_iteration(simplex3):
         def value(self, record):
             return 0.0
 
-        def potential_grad(self, record, amb=None):
+        def potential_grad(self, record):
             raise RuntimeError("boom")
 
     ens = initial_ensemble(simplex3, 4, seed=0)

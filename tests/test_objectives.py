@@ -1,4 +1,6 @@
 """Value and first-variation oracles for the three objective kinds."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -169,14 +171,16 @@ def test_mean_match_gradient_pullback(simplex3):
 
 
 def _fd_potential_grad(obj, x, record, mm, h=1e-6):
-    # finite differences of the scalar first variation in intrinsic coords
+    # finite differences of the scalar first variation in intrinsic coords,
+    # frozen at the ensemble's statistic
+    def at(y):
+        return obj.potential(replace(obj.stats(mm.embed(y)[None, :]), stats=record.stats))[0]
+
     out = np.zeros_like(x)
     for c in range(x.size):
         e = np.zeros_like(x)
         e[c] = h
-        up = obj.potential(record, mm.embed(x + e)[None, :])[0]
-        dn = obj.potential(record, mm.embed(x - e)[None, :])[0]
-        out[c] = (up - dn) / (2 * h)
+        out[c] = (at(x + e) - at(x - e)) / (2 * h)
     return out
 
 
@@ -206,10 +210,28 @@ def test_lift_identity(kind, simplex3, param_box, network, rng):
         assert lift_identity_check(obj, pts, mm, i) <= 1e-5
 
 
+@pytest.mark.parametrize("kind", ["linear", "mean-match-barrier", "network"])
+def test_first_variation_grad_at_own_rows_is_the_step_drift(kind, simplex3, param_box,
+                                                            network, rng):
+    # the frozen first variation at the cloud's own rows is, bit for bit,
+    # the pulled-back gradient the step reads from the cloud's record
+    if kind == "network":
+        obj, mm = network, param_box
+        pts = rng.uniform(-2.0, 2.0, size=(9, 3))
+    else:
+        mm = simplex3
+        pts = interior_simplex_points(rng, 9, least=0.05)
+        obj = {"linear": LinearPotential(alpha=(2.0, 3.0, 1.5), reference_temperature=0.1),
+               "mean-match-barrier": MeanMatchBarrier(target=Q, beta=1e-4)}[kind]
+    record = obj.stats(np.ascontiguousarray(_ambient(mm, pts)))
+    drift = mm.pullback(obj.potential_grad(record).T).T
+    assert first_variation_grad(obj, pts, record, mm).tobytes() == drift.tobytes()
+
+
 def test_gradient_rejects_boundary(simplex3):
     obj = MeanMatchBarrier(target=Q, beta=1e-4)
     with pytest.raises(DomainViolationError):
-        obj.potential_grad(obj.stats(np.array([Q])), np.array([[0.5, 0.5, 0.0]]))
+        first_variation_grad(obj, np.array([0.5, 0.5]), obj.stats(np.array([Q])), simplex3)
 
 
 # -- evaluation records ----------------------------------------------------------
@@ -231,8 +253,8 @@ def test_positivity_scan_runs_once_per_record(obj, simplex3, rng, monkeypatch):
     obj.potential_grad(record)
     obj.potential_grad(record.rows(2, 5))
     assert scans == [(6, 3)]
-    # points other than the record's own are scanned on each call
-    obj.potential_grad(record, amb[:1])
+    # points other than the record's own get their own record, scanned once
+    first_variation_grad(obj, np.array([0.3, 0.4]), record, simplex3)
     assert scans == [(6, 3), (1, 3)]
 
 
@@ -244,8 +266,6 @@ def test_record_rows_read_slices_of_the_whole_evaluation(network, rng):
     assert np.array_equal(chunk.per_point, network.neuron_outputs(pts)[2:5])
     assert np.array_equal(network.potential_grad(chunk),
                           network.potential_grad(record)[2:5])
-    assert np.array_equal(network.potential_grad(record, pts),
-                          network.potential_grad(record))
 
 
 # -- linear convexity over grid measures ----------------------------------------
@@ -289,6 +309,15 @@ def test_load_dataset_roundtrip(tmp_path, rng):
 @pytest.mark.parametrize("text, where, cell", [
     ("f0,f1,label\n0.1,0.2,1.0\n0.3,nan,0.5\n", "row 3, column 2", "nan"),
     ("0.1,0.2,1.0\n0.3,0.4,0.5\n\n0.5,0.6, inf\n", "row 4, column 3", "inf"),
+    # only the first row may be a header; later text cells are named
+    ("f0,f1,label\nname,x,y\n0.1,0.2,1.0\n", "row 2, column 1", "name"),
+    ("f0,f1,label\n0.1,x,1.0\n", "row 2, column 2", "x"),
+    ("0.1,0.2,1.0\n0.3, abc ,0.5\n", "row 2, column 2", "abc"),
+    ("0.1,0.2,1.0\n0.3,,0.5\n", "row 2, column 2", ""),
+    # faults of a whole row or file name the row, with no cell
+    ("f0,f1,label\n0.1,0.2,1.0\n0.3,0.4\n", "row 3: 2 cells", None),
+    ("0.1,0.2\n0.3,0.4,0.5\n", "row 2: 3 cells", None),
+    ("f0,f1,label\n", "no data rows after the header at row 1", None),
 ])
 def test_load_dataset_rejects_non_finite(tmp_path, text, where, cell):
     path = tmp_path / "net.csv"
@@ -296,7 +325,7 @@ def test_load_dataset_rejects_non_finite(tmp_path, text, where, cell):
     with pytest.raises(ValueError) as err:
         load_dataset(path)
     assert str(path) in str(err.value) and where in str(err.value)
-    assert repr(cell) in str(err.value)
+    assert cell is None or repr(cell) in str(err.value)
 
 
 def test_load_dataset_rejects_ragged(tmp_path):
