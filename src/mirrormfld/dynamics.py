@@ -31,6 +31,8 @@ reproduces a run bit-for-bit on the same platform.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -285,6 +287,26 @@ def euclidean_step(ensemble: ParticleEnsemble, mirror_map, objective, cfg: Sampl
     return replace(ensemble, points=out, dual=None, iteration=k + 1)
 
 
+@functools.cache
+def _keep_step_memory_mapped() -> bool:
+    """Let freed step arrays stay mapped between iterations (glibc only).
+
+    Every step allocates its (m, N) temporaries afresh; under glibc's default
+    policy they are unmapped (or trimmed off the heap top) when freed, so the
+    next step zero-fills each page again through a minor page fault.  Setting
+    M_MMAP_THRESHOLD (-3) to 32 MiB, glibc's upper limit on 64-bit systems,
+    and M_TRIM_THRESHOLD (-1) to 64 MiB keeps such blocks on the heap for
+    reuse.  Process-wide and set once; returns whether ``mallopt`` took it
+    (False where libc has none, as on macOS and Windows).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return bool(mallopt(-3, 32 << 20)) and bool(mallopt(-1, 64 << 20))
+
+
 def run_sampler(ensemble: ParticleEnsemble, mirror_map, objective, cfg: SamplerConfig,
                 *, diagnostics=None, every: int = 1, workers: int = 1):
     """Advance the ensemble cfg.steps times, collecting diagnostics rows.
@@ -298,7 +320,12 @@ def run_sampler(ensemble: ParticleEnsemble, mirror_map, objective, cfg: SamplerC
     order.  Step and diagnostics failures are re-raised as ``SamplerError``
     with the offending iteration attached.  The result is deterministic for
     fixed (seed, N, steps, substeps, sampler) and any worker count.
+
+    The first call sets the allocator policy of the whole process (see
+    ``_keep_step_memory_mapped``): the heap may keep up to 64 MiB free after
+    a peak, so that steps reuse their memory instead of faulting it in.
     """
+    _keep_step_memory_mapped()
     if workers < 1:
         raise ValueError(f"workers must be >= 1 (got {workers})")
     if every < 1:

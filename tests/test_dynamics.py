@@ -1,10 +1,12 @@
 """Sampler mechanics: steps, projection, feasibility, determinism, streams."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrormfld import rngstream
+from mirrormfld import dynamics, rngstream
 from mirrormfld.dynamics import (
     ParticleEnsemble,
     SamplerConfig,
@@ -15,6 +17,7 @@ from mirrormfld.dynamics import (
     run_sampler,
 )
 from mirrormfld.errors import SamplerError
+from mirrormfld.geometry import SimplexEntropyMap
 from mirrormfld.objectives import Evaluation, LinearPotential, MeanMatchBarrier
 
 Q = (0.5, 0.3, 0.2)
@@ -311,7 +314,6 @@ def _rings_network():
 
 
 def _split_case(name):
-    from mirrormfld.geometry import SimplexEntropyMap
     simplex = SimplexEntropyMap(ambient_dim=3)
     box, net = _rings_network()
     return {
@@ -329,7 +331,6 @@ def _split_case(name):
 def test_split_run_equals_unsplit_run(case):
     # K + K steps, feeding the returned ensemble back in, equal 2K steps:
     # the ensemble is the whole state of a run
-    from dataclasses import replace
     from mirrormfld.runner import metrics_recorder
     mirror_map, obj, cfg = _split_case(case)
     k, n, every = 100, 500, 10
@@ -378,7 +379,6 @@ def test_tanh_layer_runs_once_per_ensemble(monkeypatch, sampler, every):
 
 
 def test_evaluation_memo_is_outside_equality_repr_and_replace(simplex3):
-    from dataclasses import replace
     obj = MeanMatchBarrier(target=Q, beta=1e-4)
     ens = initial_ensemble(simplex3, 8, seed=0)
     before = repr(ens)
@@ -445,6 +445,47 @@ def test_diagnostics_failure_carries_tick_iteration(simplex3):
         run_sampler(ens, simplex3, MeanMatchBarrier(target=Q, beta=0.0), cfg,
                     diagnostics=diagnostics, every=2)
     assert err.value.iteration == 4
+
+
+# -- allocator policy -----------------------------------------------------------
+
+def test_steady_state_steps_take_no_page_faults():
+    # each d = 50, N = 2000 step frees and reallocates its (m, N) arrays; under
+    # glibc's default policy that cost 900 to 1,150 minor faults per step
+    resource = pytest.importorskip("resource")
+    if not dynamics._keep_step_memory_mapped():
+        pytest.skip("libc has no mallopt, or it refused the thresholds")
+    d = 50
+    mirror_map = SimplexEntropyMap(ambient_dim=d)
+    obj = LinearPotential(alpha=(2.0,) * d, reference_temperature=0.1)
+    cfg = SamplerConfig(kind="mmfld", eta=1e-3, temperature=0.1, steps=40)
+    ens, _ = run_sampler(initial_ensemble(mirror_map, 2000, seed=0), mirror_map, obj, cfg)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_sampler(ens, mirror_map, obj, replace(cfg, steps=20))
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+
+def test_run_sampler_without_mallopt_gives_same_metrics(simplex3, monkeypatch):
+    from mirrormfld.runner import metrics_recorder
+    obj = MeanMatchBarrier(target=Q, beta=1e-4)
+    cfg = SamplerConfig(kind="mmfld", eta=3e-3, temperature=0.1, steps=30)
+    record = metrics_recorder(simplex3, obj, 1e-3)
+
+    def run():
+        out, rows = run_sampler(initial_ensemble(simplex3, 500, seed=5), simplex3, obj, cfg,
+                                diagnostics=record, every=5)
+        return out.points, [replace(r, wall_ms=0.0) for r in rows]
+
+    points, rows = run()
+    monkeypatch.setattr(dynamics.ctypes, "CDLL", lambda name: object())
+    dynamics._keep_step_memory_mapped.cache_clear()
+    try:
+        assert dynamics._keep_step_memory_mapped() is False
+        bare_points, bare_rows = run()
+    finally:
+        dynamics._keep_step_memory_mapped.cache_clear()
+    assert np.array_equal(bare_points, points)
+    assert bare_rows == rows
 
 
 def test_mfld_sampler_unconstrained(rng):
