@@ -168,7 +168,7 @@ def _selfcheck_geometry(rng) -> list[str]:
         err = np.max(np.abs(mm.diffusion_substep(y, 0.7, xi) - (y + dense)) / scale)
         if err > 1e-12:
             failures.append(f"{name} kick differs from its dense factor by {err:.2e}")
-        h, ell = mm.metric(pts, 0.7)
+        h, ell = mm.metric_from_dual(mm.forward(pts), 0.7)
         err = np.max(np.abs(np.einsum("ik...,jk...->ij...", ell, ell) - 0.7 * h))
         if err > 1e-10:
             failures.append(f"{name} factor error {err:.2e}")
@@ -224,6 +224,18 @@ def _cmd_selfcheck(_args) -> int:
     return EXIT_OK if bad == 0 else EXIT_RUNTIME
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for the calculators' constants: a float, neither
+    infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number (got {text!r})")
+    return value
+
+
 def _add_config_arguments(p):
     p.add_argument("config", nargs="?", help="config file path or inline JSON")
     p.add_argument("--preset", choices=sorted(config_mod.PRESETS))
@@ -252,27 +264,27 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_p.set_defaults(fn=_cmd_oracle)
 
     bounds_p = sub.add_parser("bounds", help="convergence-bound calculators")
-    bounds_p.add_argument("--gap0", type=float, default=1.0)
-    bounds_p.add_argument("--alpha", type=float, default=1.0,
+    bounds_p.add_argument("--gap0", type=_finite_float, default=1.0)
+    bounds_p.add_argument("--alpha", type=_finite_float, default=1.0,
                           help="log-Sobolev constant")
     bounds_p.add_argument("--temperature", "--lambda", dest="temperature",
-                          type=float, default=0.1)
-    bounds_p.add_argument("--eta", type=float, default=3e-3)
+                          type=_finite_float, default=0.1)
+    bounds_p.add_argument("--eta", type=_finite_float, default=3e-3)
     bounds_p.add_argument("--iterations", type=int, default=1000)
     bounds_p.add_argument("--particles", type=int, default=50_000)
-    bounds_p.add_argument("--loss-smoothness", type=float, default=1.0)
-    bounds_p.add_argument("--radius", type=float, default=1.0)
-    bounds_p.add_argument("--m1", type=float, default=1.0)
-    bounds_p.add_argument("--m2", type=float, default=1.0)
-    bounds_p.add_argument("--c1", type=float, default=0.0)
-    bounds_p.add_argument("--c2", type=float, default=1.0)
-    bounds_p.add_argument("--diameter", type=float, default=1.0)
-    bounds_p.add_argument("--window", type=float,
+    bounds_p.add_argument("--loss-smoothness", type=_finite_float, default=1.0)
+    bounds_p.add_argument("--radius", type=_finite_float, default=1.0)
+    bounds_p.add_argument("--m1", type=_finite_float, default=1.0)
+    bounds_p.add_argument("--m2", type=_finite_float, default=1.0)
+    bounds_p.add_argument("--c1", type=_finite_float, default=0.0)
+    bounds_p.add_argument("--c2", type=_finite_float, default=1.0)
+    bounds_p.add_argument("--diameter", type=_finite_float, default=1.0)
+    bounds_p.add_argument("--window", type=_finite_float,
                           help="t for the stability factor (defaults to one step, --eta)")
     bounds_p.add_argument("--dim", type=int, default=2)
     bounds_p.add_argument("--variant", choices=("statement", "derivation"),
                           default="statement")
-    bounds_p.add_argument("--stability", type=float,
+    bounds_p.add_argument("--stability", type=_finite_float,
                           help="override the stability factor used in the bias")
     bounds_p.add_argument("--out")
     bounds_p.set_defaults(fn=_cmd_bounds)

@@ -15,10 +15,10 @@ Conventions
 -----------
 Arrays are coordinate-first: axis 0 is the coordinate axis and any further
 axes index points, so an ensemble is one (m, N) array whose coordinates are
-contiguous rows, and a single point is a 1-D (m,) array.  Dense matrices
-(``hessian``, ``metric``) are (m, m, ...) with the point axes last.  At the
-small m of the shipped settings, whole-row operations are far faster than
-numpy reductions along a short last axis.  Every sum across coordinates
+contiguous rows, and a single point is a 1-D (m,) array.  The one dense
+matrix form, ``metric_from_dual``, is (m, m, ...) with the point axes last.
+At the small m of the shipped settings, whole-row operations are far faster
+than numpy reductions along a short last axis.  Every sum across coordinates
 goes through ``coordinate_sum``, which adds in numpy's pairwise order, so
 the results equal those of the (N, m) layout bit for bit at every m.
 ``forward`` is the gradient of the barrier (primal -> dual) and
@@ -28,8 +28,9 @@ Each map has one diffusion-factor primitive, a Cholesky factor L of
 ``scale * H`` kept in its structured form: a diagonal for the box, a
 diagonal plus one constant sub-diagonal per column for the simplex.
 ``diffusion_substep`` applies it matrix-free, in O(m) per particle.
-``metric`` and ``metric_from_dual`` return the dense (H, L) built from the
-same primitive; they serve tests and checks, not the sampler.
+``metric_from_dual`` returns the dense (H, L) built from the same primitive,
+the one dense reference for the Hessian; it serves tests and checks, not the
+sampler.
 
 Everything here is a pure function of its inputs; no coordination is
 needed between concurrent callers.
@@ -141,17 +142,6 @@ def _diag_rank_one_factor(diag, bump, what):
     return root.reshape(shape), col.reshape(shape)
 
 
-def _gap_curvature(lo_gap, hi_gap):
-    """The box Hessian diagonal 1/lo_gap^2 + 1/hi_gap^2, computed in place:
-    both gap arrays are overwritten and the result is lo_gap."""
-    lo_gap *= lo_gap
-    np.divide(1.0, lo_gap, out=lo_gap)
-    hi_gap *= hi_gap
-    np.divide(1.0, hi_gap, out=hi_gap)
-    lo_gap += hi_gap
-    return lo_gap
-
-
 def _diag_root(d, scale):
     """sqrt(scale * d), the diagonal factor of scale * diag(d)."""
     sd = scale * d
@@ -243,43 +233,25 @@ class SimplexEntropyMap:
 
     # -- Hessian metric ---------------------------------------------------
 
-    def hessian(self, x: Array) -> Array:
-        """Reduced Hessian diag(1/x_c) + (1/x_d) 11^T, shape (m, m, ...)."""
-        x = self.require_interior(x, "hessian input")
-        return _diag_matrix(1.0 / x) + 1.0 / self.last_coordinate(x)
-
-    def inverse_hessian(self, x: Array) -> Array:
-        """Closed-form inverse diag(x) - x x^T (the dual Hessian at forward(x))."""
-        x = self.require_interior(x, "inverse_hessian input")
-        return _diag_matrix(x) - x[:, None] * x[None, :]
-
-    def dual_hessian(self, y: Array) -> Array:
-        return self.inverse_hessian(self.backward(y))
-
     @staticmethod
     def _factor(ambient: Array, scale: float) -> tuple[Array, Array]:
         """The (root, col) factor of scale * H at the ambient point."""
         return _diag_rank_one_factor(scale / ambient[:-1], scale / ambient[-1],
                                      "simplex metric")
 
-    def _metric_from_ambient(self, ambient: Array, scale: float) -> tuple[Array, Array]:
+    def metric_from_dual(self, y: Array, scale: float) -> tuple[Array, Array]:
+        """Dense (H, L) at x = backward(y): the reduced Hessian
+        H = diag(1/x_c) + (1/x_d) 11^T and L L^T = scale * H, from the factor
+        ``diffusion_substep`` applies; both (m, m, ...)."""
         if scale < 0:
             raise ValueError("metric scale must be nonnegative")
+        ambient = self.ambient_from_dual(y)
         h = _diag_matrix(1.0 / ambient[:-1]) + 1.0 / ambient[-1]
         if scale == 0.0:
             return h, np.zeros_like(h)
         root, col = self._factor(ambient, scale)
         below = _column(np.tri(self.intrinsic_dim, k=-1, dtype=bool), root)
         return h, np.where(below, col[None], 0.0) + _diag_matrix(root)
-
-    def metric(self, x: Array, scale: float) -> tuple[Array, Array]:
-        """Return (H, L) with H the Hessian and L L^T = scale * H exactly."""
-        x = self.require_interior(x, "metric input")
-        return self._metric_from_ambient(self.embed(x), scale)
-
-    def metric_from_dual(self, y: Array, scale: float) -> tuple[Array, Array]:
-        """metric(backward(y), scale), from the factor ``diffusion_substep`` applies."""
-        return self._metric_from_ambient(self.ambient_from_dual(y), scale)
 
     def diffusion_substep(self, y: Array, scale: float, xi: Array,
                           step_cap: float | None = None) -> Array:
@@ -441,37 +413,27 @@ class BoxLogBarrierMap:
 
     # -- Hessian metric ---------------------------------------------------
 
-    def hessian_diagonal(self, x: Array) -> Array:
-        x = self.require_interior(x, "hessian input")
-        return _gap_curvature(x - _column(self._lo, x), _column(self._hi, x) - x)
-
-    def hessian(self, x: Array) -> Array:
-        return _diag_matrix(self.hessian_diagonal(x))
-
-    def inverse_hessian(self, x: Array) -> Array:
-        return _diag_matrix(1.0 / self.hessian_diagonal(x))
-
-    def dual_hessian(self, y: Array) -> Array:
-        return self.inverse_hessian(self.backward(y))
-
     def _hessian_diagonal_from_dual(self, y: Array) -> Array:
-        """hessian_diagonal(backward(y)), with wall gaps taken stably from y."""
-        return _gap_curvature(*self._wall_gaps(y))
+        """The Hessian diagonal 1/(x - a)^2 + 1/(b - x)^2 at x = backward(y),
+        with the wall gaps taken stably from y and squared in place."""
+        lo_gap, hi_gap = self._wall_gaps(y)
+        lo_gap *= lo_gap
+        np.divide(1.0, lo_gap, out=lo_gap)
+        hi_gap *= hi_gap
+        np.divide(1.0, hi_gap, out=hi_gap)
+        lo_gap += hi_gap
+        return lo_gap
 
-    def _metric_from_diagonal(self, d: Array, scale: float) -> tuple[Array, Array]:
+    def metric_from_dual(self, y: Array, scale: float) -> tuple[Array, Array]:
+        """Dense (H, L) at backward(y): H the diagonal Hessian and
+        L L^T = scale * H, from the factor ``diffusion_substep`` applies."""
         if scale < 0:
             raise ValueError("metric scale must be nonnegative")
+        d = self._hessian_diagonal_from_dual(y)
         h = _diag_matrix(d)
         if scale == 0.0:
             return h, np.zeros_like(h)
         return h, _diag_matrix(_diag_root(d, scale))
-
-    def metric(self, x: Array, scale: float) -> tuple[Array, Array]:
-        return self._metric_from_diagonal(self.hessian_diagonal(x), scale)
-
-    def metric_from_dual(self, y: Array, scale: float) -> tuple[Array, Array]:
-        """metric(backward(y), scale), from the factor ``diffusion_substep`` applies."""
-        return self._metric_from_diagonal(self._hessian_diagonal_from_dual(y), scale)
 
     def diffusion_substep(self, y: Array, scale: float, xi: Array,
                           step_cap: float | None = None) -> Array:
@@ -508,18 +470,6 @@ class BoxLogBarrierMap:
         return min(bounds)
 
 
-def _quadratic_form_curve(mirror_map, x, u, conjugate):
-    if conjugate:
-        def q(s):
-            h = mirror_map.dual_hessian(x + s * u)
-            return float(u @ h @ u)
-    else:
-        def q(s):
-            h = mirror_map.hessian(x + s * u)
-            return float(u @ h @ u)
-    return q
-
-
 def self_concordance_probe(mirror_map, x, u, *, conjugate: bool = False) -> float:
     """Estimate the self-concordance parameter of the barrier along (x, u).
 
@@ -527,8 +477,9 @@ def self_concordance_probe(mirror_map, x, u, *, conjugate: bool = False) -> floa
     directional derivative is a 5-point central finite difference of
     ``s -> <u, H(x + s u) u>``.  With ``conjugate=True`` the same probe is
     run on the conjugate barrier: x is then a dual point (any finite vector)
-    and H its dual Hessian.  Both variants are exposed because the two sides
-    of the inequality can be stated with either barrier; callers can compare.
+    and the form is <u, H^{-1} u> at backward(x), taken by a solve.  Both
+    variants are exposed because the two sides of the inequality can be
+    stated with either barrier; callers can compare.
 
     The step is 1e-3 times the distance to the boundary along u (primal
     probe) or times ``(1 + |x|)/|u|`` (dual probe, unconstrained).
@@ -545,8 +496,14 @@ def self_concordance_probe(mirror_map, x, u, *, conjugate: bool = False) -> floa
     else:
         dist = mirror_map.boundary_distance_along(x, u)
     h = 1e-3 * dist
+
+    def q(s):
+        v = x + s * u
+        if conjugate:
+            return float(u @ np.linalg.solve(mirror_map.metric_from_dual(v, 0.0)[0], u))
+        return float(u @ mirror_map.metric_from_dual(mirror_map.forward(v), 0.0)[0] @ u)
+
     # stencil reaches x +/- 2h u; h = 1e-3 * dist keeps it safely interior
-    q = _quadratic_form_curve(mirror_map, x, u, conjugate)
     third = (-q(2 * h) + 8.0 * q(h) - 8.0 * q(-h) + q(-2 * h)) / (12.0 * h)
     denom = 2.0 * q(0.0) ** 1.5
     return abs(third) / denom

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NonConvergenceError, SupportViolationError
-from .geometry import SimplexEntropyMap
 
 Array = np.ndarray
 
@@ -241,9 +240,10 @@ def _stencil_gradient(grid: SimplexGrid, values: Array) -> Array:
 def relative_fisher_information(mu: GridMeasure, nu: GridMeasure) -> float:
     """Mirror-metric Fisher information of mu relative to nu.
 
-    Gradients of the log ratio are nearest-neighbor stencil estimates and
-    the metric weight is the closed-form inverse Hessian of the entropy
-    barrier, so this is a diagnostic with loose (percent-level) accuracy.
+    Gradients g of the log ratio are nearest-neighbor stencil estimates and
+    the metric weight is the inverse Hessian diag(x) - x x^T of the entropy
+    barrier, applied in closed form as sum_c x_c g_c^2 - (x . g)^2, so this
+    is a diagnostic with loose (percent-level) accuracy.
     """
     grid = mu.grid
     if grid is not nu.grid:
@@ -255,8 +255,8 @@ def relative_fisher_information(mu: GridMeasure, nu: GridMeasure) -> float:
     with np.errstate(divide="ignore"):
         log_ratio = np.where(wm > 0, np.log(np.where(wm > 0, wm, 1.0)) - np.log(wn), -np.inf)
     grad = _stencil_gradient(grid, log_ratio)
-    hinv = SimplexEntropyMap(ambient_dim=3).inverse_hessian(grid.intrinsic.T)
-    quad = np.einsum("ni,ijn,nj->n", grad, hinv, grad)
+    x = grid.intrinsic
+    quad = np.sum(x * grad * grad, axis=1) - np.sum(x * grad, axis=1) ** 2
     return float(np.sum(wm[pos] * quad[pos]))
 
 

@@ -212,7 +212,8 @@ def compare_runs(*summaries: dict) -> dict:
 
 def load_summary(path) -> dict:
     """Read a run summary; the ``ValueError`` for any other file names the
-    file, and for other JSON the first key it lacks."""
+    file, and for other JSON the first key it lacks or whose value is not a
+    number."""
     with open(path, encoding="utf-8") as fh:
         try:
             summary = json.load(fh)
@@ -223,4 +224,8 @@ def load_summary(path) -> dict:
             raise ValueError(f"{path}: not a run summary (missing key {key!r})")
     if not isinstance(summary["config"], dict) or "objective" not in summary["config"]:
         raise ValueError(f"{path}: not a run summary (missing key 'config.objective')")
+    for key in ("final_objective", "final_boundary_fraction"):
+        if isinstance(summary[key], bool) or not isinstance(summary[key], (int, float)):
+            raise ValueError(f"{path}: not a run summary ({key!r} is not a number: "
+                             f"{summary[key]!r})")
     return summary

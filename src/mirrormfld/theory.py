@@ -49,6 +49,8 @@ def hessian_stability_factor(c1: float, c2: float, diameter: float, t: float,
     """
     if min(c1, c2, t, drift_bound) < 0 or dim < 1:
         raise ValueError("constants must be nonnegative and dim >= 1")
+    if c2 <= 0:
+        raise ValueError(f"c2 must be positive (got {c2})")
     if c1 == 0.0:
         return StabilityFactor(expectation=1.0, deterministic=1.0, regime="convention")
     if variant == "statement":
@@ -59,7 +61,12 @@ def hessian_stability_factor(c1: float, c2: float, diameter: float, t: float,
         spread = 2.0 * math.sqrt(temperature * t * dim)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    deterministic = math.exp(2.0 * c1 * diameter / math.sqrt(c2))
+    exponent = 2.0 * c1 * diameter / math.sqrt(c2)
+    try:
+        deterministic = math.exp(exponent)
+    except OverflowError:
+        raise ValueError(f"the exponent 2 c1 diameter / sqrt(c2) = {exponent:.3e} "
+                         "overflows exp") from None
     threshold = min(1.0 / (2.0 * c1 * drift_bound) if drift_bound > 0 else math.inf,
                     1.0 / (16.0 * c1 * c1 * dim))
     if t > threshold:
@@ -71,8 +78,7 @@ def hessian_stability_factor(c1: float, c2: float, diameter: float, t: float,
             f"denominator 1 - c1 (t M1 + spread) = {root:.3e} is not positive "
             "inside the claimed regime; t is outside validity")
     tail = -1.0 / (16.0 * c1 * c1 * t)
-    expectation = (1.0 - math.exp(tail)) / root ** 2 \
-        + math.exp(tail + 2.0 * c1 * diameter / math.sqrt(c2))
+    expectation = (1.0 - math.exp(tail)) / root ** 2 + math.exp(tail + exponent)
     return StabilityFactor(expectation=expectation, deterministic=deterministic,
                            regime="expectation")
 

@@ -8,8 +8,8 @@ seed 0) figure-1 run serves criteria 4, 6 and 10.
 Criterion 6a's final-loss clause at beta = 0 is expected to fail: with both
 samplers sharing the continuous-time minimizer, projection's boundary
 sticking strictly lowers the mean-matching loss at stationarity, so the
-asserted ordering cannot hold for a faithful baseline (measurements across
-four targets, three step sizes and three seeds in the decisions ledger).
+asserted ordering cannot hold for a faithful baseline (ROADMAP.md's Baseline
+gives both samplers' final F on three seeds and what is known of the cause).
 The criterion is asserted as stated rather than weakened.
 """
 import json
@@ -118,7 +118,7 @@ def test_criterion_01_mirror_map_identities():
         err = np.max(np.abs(mm.forward(back) - y), axis=0)
         if name == "simplex":
             # reduced coordinates cannot encode the pinned coordinate below
-            # machine epsilon: the attainable error there is eps/x_d (ledger)
+            # machine epsilon: the attainable error there is eps/x_d
             smallest = np.min(mm.embed(back), axis=0)
             assert np.all(err <= np.maximum(1e-8, 8 * np.finfo(float).eps / smallest))
             assert np.max(err[smallest >= 1e-7]) <= 1e-8
@@ -135,7 +135,7 @@ def test_criterion_01_mirror_map_identities():
                 e = np.zeros(m)
                 e[c] = h
                 fd[:, c] = (mm.backward(yx + e) - mm.backward(yx - e)) / (2 * h)
-            hess = mm.hessian(x)
+            hess = mm.metric_from_dual(yx, 0.0)[0]
             assert np.max(np.abs(hess @ fd - np.eye(m))) <= 1e-4
     elapsed = time.perf_counter() - t0
     assert report(1, "mirror-map identity suite",
@@ -268,7 +268,7 @@ def test_criterion_06a_beta_zero(figure1_runs):
            "; ".join(lines))
     assert frac_ok, "projected boundary fraction should exceed 10x the mirror one"
     # Expected red: projection's boundary sticking lowers the mean-matching
-    # loss below the free-energy optimum (see decisions ledger).
+    # loss below the free-energy optimum (see ROADMAP.md, Baseline).
     assert loss_ok, "final F(MMFLD) < final F(projected) failed at beta=0"
 
 
@@ -329,7 +329,7 @@ def test_criterion_09_theory_calculators():
     assert conv.expectation == 1.0 and conv.regime == "convention"
     # the formula's small-window limit is 1; its leading correction
     # 4*c1*sqrt(t*d) equals 4.0e-4 at t=1e-8, so the 1e-4 check runs at
-    # t=1e-12 and the spec's t=1e-8 value is frozen instead (ledger)
+    # t=1e-12 and the spec's t=1e-8 value is frozen instead
     small = theory.hessian_stability_factor(c1=1.0, c2=1.0, diameter=1.0,
                                             t=1e-12, drift_bound=1.0, dim=1)
     assert abs(small.expectation - 1.0) <= 1e-4

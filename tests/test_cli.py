@@ -146,6 +146,18 @@ def test_bounds_subcommand(tmp_path, capsys):
     assert payload["objective_gap_bound"] > 0
 
 
+@pytest.mark.parametrize("flags, code, message", [
+    (["--c1", "1", "--c2", "0"], 3, "c2 must be positive"),
+    (["--c1", "1000", "--c2", "1e-6"], 3, "2 c1 diameter / sqrt(c2) = 2.000e+06 overflows"),
+    (["--eta", "nan"], 2, "argument --eta: must be a finite number"),
+])
+def test_bounds_bad_flags_exit_with_a_message(capsys, flags, code, message):
+    assert _exit_code(["bounds", *flags]) == code
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_bounds_window_defaults_to_one_step(capsys):
     def payload(*flags):
         assert main(["bounds", "--c1", "1", "--c2", "4", *flags]) == 0
@@ -200,6 +212,20 @@ def test_compare_non_summary_exits_3(tmp_path, capsys, payload):
     assert main(["compare", str(path), str(path)]) == 3
     err = capsys.readouterr().err
     assert str(path) in err and "missing key 'sampler'" in err
+
+
+@pytest.mark.parametrize("key", ["final_objective", "final_boundary_fraction"])
+@pytest.mark.parametrize("value", ["oops", None, True])
+def test_compare_non_numeric_summary_exits_3(tmp_path, capsys, key, value):
+    summary = {"sampler": "mmfld", "seed": 0, "final_objective": 0.5,
+               "final_boundary_fraction": 0.1, "config": {"objective": {}}}
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(summary))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**summary, key: value}))
+    assert main(["compare", str(good), str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert str(bad) in err and f"{key!r} is not a number" in err
 
 
 def test_compare_non_json_exits_3(tmp_path, capsys):

@@ -18,6 +18,8 @@ from mirrormfld.oracle import (
     relative_fisher_information,
     uniform_measure,
 )
+from mirrormfld.geometry import SimplexEntropyMap
+from mirrormfld.oracle import _stencil_gradient
 
 Q = (0.5, 0.3, 0.2)
 LAM = 0.1
@@ -224,6 +226,29 @@ def test_fisher_information_positive_and_finite(grid):
     d = measure_from_weights(grid, dirichlet_density(grid.nodes) * grid.volumes)
     fi = relative_fisher_information(d, u)
     assert np.isfinite(fi) and fi > 0
+
+
+def test_fisher_closed_form_matches_dense_inverse(rng):
+    # g^T H^{-1} g as sum_c x_c g_c^2 - (x . g)^2 at every node, against a
+    # solve with the simplex map's dense Hessian; then the Fisher information
+    # itself against the sum of the dense forms over its stencil gradients
+    grid = build_grid(16, 1e-4)
+    mm = SimplexEntropyMap(ambient_dim=3)
+    x = grid.intrinsic
+    h = np.moveaxis(mm.metric_from_dual(mm.forward(x.T), 0.0)[0], -1, 0)
+
+    def dense_form(g):
+        return np.einsum("ni,ni->n", g, np.linalg.solve(h, g[..., None])[..., 0])
+
+    g = rng.standard_normal(x.shape)
+    closed = np.sum(x * g * g, axis=1) - np.sum(x * g, axis=1) ** 2
+    np.testing.assert_allclose(closed, dense_form(g), rtol=1e-12, atol=0)
+
+    u = uniform_measure(grid)
+    d = measure_from_weights(grid, dirichlet_density(grid.nodes) * grid.volumes)
+    grad = _stencil_gradient(grid, np.log(d.weights) - np.log(u.weights))
+    expect = float(np.sum(d.weights * dense_form(grad)))
+    assert relative_fisher_information(d, u) == pytest.approx(expect, rel=1e-12)
 
 
 # -- entropy sandwich ------------------------------------------------------------------

@@ -56,6 +56,20 @@ def test_invalid_denominator_raises():
                                  drift_bound=8.0, dim=1)
 
 
+def test_nonpositive_c2_raises():
+    # c2 divides the deterministic exponent; c1 = 0 does not excuse it
+    for c1 in (0.0, 1.0):
+        with pytest.raises(ValueError, match="c2 must be positive"):
+            hessian_stability_factor(c1=c1, c2=0.0, diameter=1.0, t=1e-4,
+                                     drift_bound=1.0, dim=1)
+
+
+def test_overflowing_exponent_raises():
+    with pytest.raises(ValueError, match=r"2 c1 diameter / sqrt\(c2\) = 2\.000e\+06 overflows"):
+        hessian_stability_factor(c1=1000.0, c2=1e-6, diameter=1.0, t=1e-4,
+                                 drift_bound=1.0, dim=1)
+
+
 def test_derivation_variant_needs_temperature():
     with pytest.raises(ValueError):
         hessian_stability_factor(c1=1.0, c2=1.0, diameter=1.0, t=1e-4,
