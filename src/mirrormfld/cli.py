@@ -120,10 +120,22 @@ def _cmd_bounds(args) -> int:
                       "kl_divergence": envelopes.kl_divergence,
                       "particle_gap": envelopes.particle_gap},
     }
-    print(json.dumps(payload, indent=2))
+    # strict JSON: an infinite bound or the NaN expectation outside the
+    # small-step regime (which ``regime`` names) is written as null
+    text = json.dumps(_nonfinite_as_null(payload), indent=2, allow_nan=False)
+    print(text)
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
     return EXIT_OK
+
+
+def _nonfinite_as_null(obj):
+    """``obj`` with every infinite or NaN float inside its dicts made None."""
+    if isinstance(obj, dict):
+        return {k: _nonfinite_as_null(v) for k, v in obj.items()}
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def _cmd_compare(args) -> int:

@@ -28,12 +28,20 @@ All per-particle noise comes from the counter-based streams in
 ensemble is the whole state of a run: results are independent of how
 particles are chunked across workers or a run is split, and a fixed seed
 reproduces a run bit-for-bit on the same platform.
+
+Because a block depends on its key alone, ``run_sampler`` draws the next
+block of a run while the current step runs, on one helper thread, whenever
+the run has noise and leaves a core free (fewer workers than the cores it
+may run on).  A step takes its block from the helper only when the key
+matches and draws it itself otherwise, so the helper changes no output bit;
+it moves the noise off the step's critical path.
 """
 from __future__ import annotations
 
 import ctypes
 import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -194,7 +202,8 @@ def _run_chunks(fn, ranges, pool):
 
 
 def _mirror_iteration(ensemble: ParticleEnsemble, mirror_map, objective,
-                      cfg: SamplerConfig, *, pool=None, chunks: int = 1) -> ParticleEnsemble:
+                      cfg: SamplerConfig, *, pool=None, chunks: int = 1,
+                      noise=None) -> ParticleEnsemble:
     """One synchronous mirror iteration carried entirely in dual coordinates.
 
     Statistics are frozen at the incoming ensemble; every chunk reads row
@@ -203,8 +212,10 @@ def _mirror_iteration(ensemble: ParticleEnsemble, mirror_map, objective,
     floats, a lossy round trip that bottoms out at machine epsilon near a
     face, so particles are tracked within any positive distance of it.
     Each chunk works on coordinate-first (m, hi - lo) arrays, in place
-    where it can.
+    where it can.  ``noise(seed, k, s, lo, hi, m)`` supplies the normal
+    blocks; it defaults to ``rngstream.normal_block``.
     """
+    noise = noise or rngstream.normal_block
     dual, ambient = ensemble.dual, ensemble.points
     m, n = dual.shape
     seed, k = ensemble.seed, ensemble.iteration
@@ -220,7 +231,7 @@ def _mirror_iteration(ensemble: ParticleEnsemble, mirror_map, objective,
         y += dual[:, lo:hi]
         y = inner_diffusion(
             y, mirror_map, cfg.temperature, cfg.eta, cfg.substeps,
-            lambda s: rngstream.normal_block(seed, k, s, lo, hi, m),
+            lambda s: noise(seed, k, s, lo, hi, m),
             step_cap=DUAL_STEP_CAP)
         out_dual[:, lo:hi] = y
         out_ambient[lo:hi] = mirror_map.ambient_from_dual(y).T
@@ -238,32 +249,41 @@ def project_simplex(v: Array) -> Array:
     v = np.asarray(v, dtype=np.float64)
     cols = v.reshape(v.shape[0], -1)
     d, n = cols.shape
+    # in place where it can: each (d, N) temporary is as large as the input
     s = np.sort(cols, axis=0)[::-1]
     cumsum = np.cumsum(s, axis=0)
-    active = s * np.arange(1, d + 1)[:, None] > (cumsum - 1.0)
+    cumsum -= 1.0
+    s *= np.arange(1, d + 1)[:, None]
+    active = s > cumsum
+    del s
     k_star = d - 1 - np.argmax(active[::-1], axis=0)
-    theta = (cumsum[k_star, np.arange(n)] - 1.0) / (k_star + 1)
-    return np.maximum(cols - theta, 0.0).reshape(v.shape)
+    theta = cumsum[k_star, np.arange(n)] / (k_star + 1)
+    del cumsum, active
+    out = np.subtract(cols, theta)
+    return np.maximum(out, 0.0, out=out).reshape(v.shape)
 
 
 def _project_ambient(x: Array, mirror_map) -> Array:
     if mirror_map.kind == "simplex-entropy":
         # nudge off exact boundary so barrier objectives stay finite
-        proj = np.maximum(project_simplex(x), PROJECTION_NUDGE)
+        proj = project_simplex(x)
+        np.maximum(proj, PROJECTION_NUDGE, out=proj)
         return np.divide(proj, coordinate_sum(proj), out=proj)
     return np.clip(x, (mirror_map.lower + PROJECTION_NUDGE)[:, None],
                    (mirror_map.upper - PROJECTION_NUDGE)[:, None])
 
 
 def euclidean_step(ensemble: ParticleEnsemble, mirror_map, objective, cfg: SamplerConfig,
-                   *, pool=None, chunks: int = 1) -> ParticleEnsemble:
+                   *, pool=None, chunks: int = 1, noise=None) -> ParticleEnsemble:
     """Ambient-coordinate Langevin update, projected back onto the domain.
 
     Implements both the projected baseline (``projected-mfld``) and the
     unconstrained sanity sampler (``mfld``); the only difference is whether
     the projection is applied.  Each chunk works on (d, hi - lo) arrays,
-    transposed once into ``points`` as in the mirror step.
+    transposed once into ``points`` as in the mirror step; ``noise`` is as
+    there, with substep 0.
     """
+    noise = noise or rngstream.normal_block
     pts = ensemble.points
     n, d = pts.shape
     record = ensemble.evaluation(objective)
@@ -277,14 +297,51 @@ def euclidean_step(ensemble: ParticleEnsemble, mirror_map, objective, cfg: Sampl
                         out=np.empty((d, hi - lo)))
         np.subtract(pts[lo:hi].T, x, out=x)
         if noise_scale > 0.0:
-            noise = rngstream.normal_block(seed, k, 0, lo, hi, d)
-            noise *= noise_scale
-            x += noise
+            kick = noise(seed, k, 0, lo, hi, d)
+            kick *= noise_scale
+            x += kick
         out[lo:hi] = (_project_ambient(x, mirror_map) if project else x).T
 
     _run_chunks(update, _chunk_ranges(n, chunks), pool)
     # a dual carried in from a mirror run no longer describes these points
     return replace(ensemble, points=out, dual=None, iteration=k + 1)
+
+
+class _NoiseAhead:
+    """The normal blocks of one run, each drawn a block ahead on ``helper``.
+
+    Called like ``rngstream.normal_block`` and returning what it returns.
+    A block the helper was asked for under the same full key comes from the
+    helper; any other is drawn in the calling thread.  Either way the helper
+    is then asked for the block that follows in the run, (k, s + 1) or
+    (k + 1, 0), below iteration ``last``.  A wrong guess costs a wasted draw,
+    never a changed value.  With ``helper=None`` every block is drawn in the
+    calling thread.  Chunks on pool threads ask for distinct keys, so each
+    touches only its own entry of ``_ahead``.
+    """
+
+    def __init__(self, helper, substeps: int, last: int):
+        self._helper, self._substeps, self._last = helper, substeps, last
+        self._ahead = {}
+
+    def __call__(self, seed, iteration, substep, lo, hi, dim):
+        key = (seed, iteration, substep, lo, hi, dim)
+        ahead = self._ahead.pop(key, None)
+        block = rngstream.normal_block(*key) if ahead is None else ahead.result()
+        if self._helper is not None:
+            k, s = (iteration, substep + 1) if substep + 1 < self._substeps else (iteration + 1, 0)
+            if k < self._last:
+                after = (seed, k, s, lo, hi, dim)
+                self._ahead[after] = self._helper.submit(rngstream.normal_block, *after)
+        return block
+
+
+def _cores() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity API (macOS, Windows)
+        return os.cpu_count() or 1
 
 
 @functools.cache
@@ -321,6 +378,12 @@ def run_sampler(ensemble: ParticleEnsemble, mirror_map, objective, cfg: SamplerC
     with the offending iteration attached.  The result is deterministic for
     fixed (seed, N, steps, substeps, sampler) and any worker count.
 
+    When the run has noise (``temperature > 0``) and ``workers`` is below
+    the number of cores the process may run on, one helper thread draws
+    each step's normal block while the step before it runs (see
+    ``_NoiseAhead``); it changes no output bit, and it is shut down before
+    ``run_sampler`` returns or raises.
+
     The first call sets the allocator policy of the whole process (see
     ``_keep_step_memory_mapped``): the heap may keep up to 64 MiB free after
     a peak, so that steps reuse their memory instead of faulting it in.
@@ -337,15 +400,19 @@ def run_sampler(ensemble: ParticleEnsemble, mirror_map, objective, cfg: SamplerC
     rows = []
     if cfg.steps == 0:
         return ensemble, rows
-    if ensemble.iteration + cfg.steps >= rngstream.INIT_ITERATION:
+    last = ensemble.iteration + cfg.steps
+    if last >= rngstream.INIT_ITERATION:
         raise ValueError("iteration counter would collide with the init stream")
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    helper = (ThreadPoolExecutor(max_workers=1, thread_name_prefix="mirrormfld-noise")
+              if cfg.temperature > 0 and workers < _cores() else None)
+    noise = _NoiseAhead(helper, cfg.substeps if cfg.kind == "mmfld" else 1, last)
     try:
         if diagnostics is not None:
             rows.append(diagnostics(ensemble))
-        last = ensemble.iteration + cfg.steps
         while ensemble.iteration < last:
-            ensemble = step(ensemble, mirror_map, objective, cfg, pool=pool, chunks=workers)
+            ensemble = step(ensemble, mirror_map, objective, cfg, pool=pool, chunks=workers,
+                            noise=noise)
             done = ensemble.iteration
             if diagnostics is not None and (done % every == 0 or done == last):
                 rows.append(diagnostics(ensemble))
@@ -355,4 +422,6 @@ def run_sampler(ensemble: ParticleEnsemble, mirror_map, objective, cfg: SamplerC
     finally:
         if pool is not None:
             pool.shutdown(wait=True)
+        if helper is not None:
+            helper.shutdown(wait=True, cancel_futures=True)
     return ensemble, rows

@@ -118,25 +118,30 @@ def _diag_rank_one_factor(diag, bump, what):
     product -- so the factorization succeeds whenever the inputs are
     positive and finite, even when the rank-one term dominates by hundreds
     of orders of magnitude (LAPACK's generic routine breaks down there).
+
+    ``diag`` is consumed: a fresh array from the caller, overwritten row by
+    row as ``root`` once its row has fed the recursion, so the factor costs
+    one (m, ...) array besides its input.
     """
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(bump))):
         raise FactorizationError(f"{what}: non-finite Hessian entries (point at boundary?)")
     shape, m = diag.shape, diag.shape[0]
-    diag = diag.reshape(m, -1)
-    root = np.empty(diag.shape)
-    col = np.zeros(diag.shape)
+    root = diag.reshape(m, -1)
+    col = np.zeros(root.shape)
     bump = np.broadcast_to(bump, shape[1:]).reshape(-1).copy()
+    pivot = np.empty(root.shape[1])
     # pivots are checked once at the end: a nonpositive one leaves a
-    # nonpositive or NaN root behind
+    # nonpositive or NaN root behind; col[k] holds the ratio until the end
+    # of its row
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(m):
-            pivot = np.add(diag[k], bump, out=root[k])
+            np.add(root[k], bump, out=pivot)
             if k + 1 < m:
-                ratio = bump / pivot
-                np.multiply(diag[k], ratio, out=bump)
+                ratio = np.divide(bump, pivot, out=col[k])
+                np.multiply(root[k], ratio, out=bump)
             np.sqrt(pivot, out=root[k])
             if k + 1 < m:
-                np.multiply(ratio, root[k], out=col[k])
+                ratio *= root[k]
     if not np.all(root > 0):
         raise FactorizationError(f"{what}: Hessian not numerically SPD")
     return root.reshape(shape), col.reshape(shape)

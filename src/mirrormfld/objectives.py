@@ -270,6 +270,7 @@ class NetworkRisk:
         scale *= resid
         grad_w = scale @ self.features             # (N, p)
         grad_b = np.sum(scale, axis=-1, keepdims=True)
+        del scale   # before the (N, p + 1) result is allocated
         return np.concatenate([grad_w, grad_b], axis=-1)
 
 

@@ -6,12 +6,21 @@ dual diameter) are estimated from data, since no estimation procedure comes
 with the guarantees.  Experiments use these to annotate runs with their
 theoretical envelopes.
 
-All functions are stateless and reentrant.
+All functions are stateless and reentrant.  A constant so large that a
+term overflows a float raises ``ValueError`` naming the term.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+
+def _power(base: float, exponent: int, term: str) -> float:
+    """base ** exponent, as a ``ValueError`` naming ``term`` where it overflows."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise ValueError(f"the term {term} = ({base:.3e})^{exponent} overflows") from None
 
 
 @dataclass(frozen=True)
@@ -88,8 +97,8 @@ def step_bias(eta: float, drift_bound: float, smoothness: float,
     """Per-step bias floor 2 eta M2^4 M (eta M1^2 + 2 lambda d)."""
     if min(eta, drift_bound, smoothness, temperature, stability) < 0 or dim < 1:
         raise ValueError("inputs must be nonnegative and dim >= 1")
-    return 2.0 * eta * smoothness ** 4 * stability * (eta * drift_bound ** 2
-                                                      + 2.0 * temperature * dim)
+    return 2.0 * eta * _power(smoothness, 4, "M2^4") * stability * (
+        eta * _power(drift_bound, 2, "M1^2") + 2.0 * temperature * dim)
 
 
 def objective_gap_bound(initial_gap: float, lsi_constant: float, temperature: float,
@@ -106,7 +115,7 @@ def objective_gap_bound(initial_gap: float, lsi_constant: float, temperature: fl
         raise ValueError("need particles >= 1 and iterations >= 0")
     rate = lsi_constant * temperature
     return (math.exp(-rate * eta * iterations) * initial_gap
-            + loss_smoothness * output_radius ** 2 / (2.0 * particles)
+            + loss_smoothness * _power(output_radius, 2, "R^2") / (2.0 * particles)
             + bias / (2.0 * rate))
 
 
@@ -137,5 +146,5 @@ def convergence_envelopes(*, lsi_constant: float, temperature: float,
     if None in (loss_smoothness, output_radius, particles):
         floor = None
     else:
-        floor = loss_smoothness * output_radius ** 2 / (2.0 * particles)
+        floor = loss_smoothness * _power(output_radius, 2, "R^2") / (2.0 * particles)
     return Envelopes(free_energy_gap=gap, kl_divergence=kl, particle_gap=floor)

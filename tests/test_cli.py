@@ -150,12 +150,33 @@ def test_bounds_subcommand(tmp_path, capsys):
     (["--c1", "1", "--c2", "0"], 3, "c2 must be positive"),
     (["--c1", "1000", "--c2", "1e-6"], 3, "2 c1 diameter / sqrt(c2) = 2.000e+06 overflows"),
     (["--eta", "nan"], 2, "argument --eta: must be a finite number"),
+    (["--m2", "1e100"], 3, "the term M2^4 = (1.000e+100)^4 overflows"),
 ])
 def test_bounds_bad_flags_exit_with_a_message(capsys, flags, code, message):
     assert _exit_code(["bounds", *flags]) == code
     captured = capsys.readouterr()
     assert message in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags, nulls", [
+    (["--eta", "1e200"], ["step_bias", "objective_gap_bound"]),
+    (["--c1", "1", "--eta", "1e200"], ["step_bias", "objective_gap_bound", "expectation"]),
+])
+def test_bounds_writes_strict_json(tmp_path, capsys, flags, nulls):
+    # an infinite bound, or the NaN expectation outside the small-step
+    # regime, is written as null: strict JSON readers accept the output
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    out = tmp_path / "bounds.json"
+    assert main(["bounds", *flags, "--out", str(out)]) == 0
+    printed = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert json.loads(out.read_text(), parse_constant=refuse) == printed
+    values = {**printed, **printed["stability_factor"]}
+    assert all(values[key] is None for key in nulls)
+    assert printed["stability_factor"]["regime"] == (
+        "deterministic-only" if "--c1" in flags else "convention")
 
 
 def test_bounds_window_defaults_to_one_step(capsys):

@@ -1,4 +1,7 @@
 """Sampler mechanics: steps, projection, feasibility, determinism, streams."""
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -445,6 +448,157 @@ def test_diagnostics_failure_carries_tick_iteration(simplex3):
         run_sampler(ens, simplex3, MeanMatchBarrier(target=Q, beta=0.0), cfg,
                     diagnostics=diagnostics, every=2)
     assert err.value.iteration == 4
+
+
+# -- noise drawn ahead -----------------------------------------------------------
+
+def _note_draw_threads(monkeypatch):
+    """Record the thread name of every ``rngstream.normal_block`` call."""
+    names = []
+    draw = rngstream.normal_block
+
+    def noting(*key):
+        names.append(threading.current_thread().name)
+        return draw(*key)
+
+    monkeypatch.setattr(rngstream, "normal_block", noting)
+    return names
+
+
+def _helper_draws(names):
+    return sum(name.startswith("mirrormfld-noise") for name in names)
+
+
+def _hand_loop(start, mirror_map, obj, cfg, workers):
+    """cfg.steps bare steps, each drawing its own noise in the step."""
+    step = dynamics._mirror_iteration if cfg.kind == "mmfld" else euclidean_step
+    ens, _ = run_sampler(start, mirror_map, obj, replace(cfg, steps=0))   # enters the dual
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        for _ in range(cfg.steps):
+            ens = step(ens, mirror_map, obj, cfg, pool=pool, chunks=workers)
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    return ens
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", ["mmfld-substeps3", "projected-mfld", "mfld"])
+def test_noise_drawn_ahead_changes_no_bit(monkeypatch, case, workers):
+    # claim one core more than the workers, so that the helper runs at
+    # every worker count on any machine
+    monkeypatch.setattr(dynamics, "_cores", lambda: workers + 1)
+    mirror_map, obj, cfg = _split_case("mmfld-simplex" if case == "mmfld-substeps3" else case)
+    substeps = 3 if case == "mmfld-substeps3" else 1
+    cfg = replace(cfg, substeps=substeps)
+    k, n = 20, 300
+    start = initial_ensemble(mirror_map, n, seed=5)
+    expected = _hand_loop(start, mirror_map, obj, replace(cfg, steps=2 * k), workers)
+    names = _note_draw_threads(monkeypatch)
+    whole, _ = run_sampler(start, mirror_map, obj, replace(cfg, steps=2 * k), workers=workers)
+    half, _ = run_sampler(start, mirror_map, obj, replace(cfg, steps=k), workers=workers)
+    split, _ = run_sampler(half, mirror_map, obj, replace(cfg, steps=k), workers=workers)
+    for got in (whole, split):
+        assert got.iteration == expected.iteration == 2 * k
+        assert np.array_equal(got.points, expected.points)
+        if cfg.kind == "mmfld":
+            assert np.array_equal(got.dual, expected.dual)
+        else:
+            assert got.dual is None and expected.dual is None
+    # each block is drawn once: per chunk, a run's first block in the step,
+    # every later one on the helper, so no guess was wrong
+    chunks = len(dynamics._chunk_ranges(n, workers))
+    assert len(names) == 4 * k * substeps * chunks
+    assert _helper_draws(names) == len(names) - 3 * chunks
+
+
+def test_noise_drawn_ahead_under_thread_stress(monkeypatch):
+    # more chunk threads than cores, switching threads as often as the
+    # interpreter allows: a lost entry of the look-ahead table would show as
+    # a block drawn twice
+    workers, k, n = 4, 8, 200
+    monkeypatch.setattr(dynamics, "_cores", lambda: workers + 1)
+    mirror_map, obj, cfg = _split_case("mmfld-simplex")
+    cfg = replace(cfg, substeps=2, steps=k)
+    start = initial_ensemble(mirror_map, n, seed=9)
+    expected = _hand_loop(start, mirror_map, obj, cfg, workers)
+    names = _note_draw_threads(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got, _ = run_sampler(start, mirror_map, obj, cfg, workers=workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got.dual, expected.dual)
+    assert len(names) == k * 2 * workers
+    assert _helper_draws(names) == len(names) - workers
+
+
+@pytest.mark.parametrize("workers, cores, temperature, helped", [
+    (1, 2, 0.1, True), (1, 1, 0.1, False), (2, 2, 0.1, False), (2, 3, 0.1, True),
+    (1, 2, 0.0, False)])
+def test_helper_runs_only_with_noise_and_a_free_core(simplex3, monkeypatch, workers, cores,
+                                                     temperature, helped):
+    monkeypatch.setattr(dynamics, "_cores", lambda: cores)
+    names = _note_draw_threads(monkeypatch)
+    cfg = SamplerConfig(kind="mmfld", eta=1e-3, temperature=temperature, steps=5)
+    run_sampler(initial_ensemble(simplex3, 64, seed=0), simplex3,
+                MeanMatchBarrier(target=Q, beta=1e-4), cfg, workers=workers)
+    assert (_helper_draws(names) > 0) == helped
+    assert (len(names) > 0) == (temperature > 0)
+
+
+class _FailsAtIteration:
+    """MeanMatchBarrier whose gradient raises from the given iteration on
+    (one gradient per step: no diagnostics, one worker)."""
+
+    ambient_dim = 3
+    kind = "mean-match-barrier"
+
+    def __init__(self, iteration):
+        self.inner, self.left = MeanMatchBarrier(target=Q, beta=1e-4), iteration
+
+    def stats(self, amb, weights=None):
+        return self.inner.stats(amb, weights)
+
+    def value(self, record):
+        return self.inner.value(record)
+
+    def potential_grad(self, record):
+        if self.left == 0:
+            raise RuntimeError("gradient failed")
+        self.left -= 1
+        return self.inner.potential_grad(record)
+
+
+@pytest.mark.parametrize("how", ["completes", "no-noise", "objective-raises",
+                                 "diagnostics-raise"])
+def test_no_thread_outlives_run_sampler(simplex3, monkeypatch, how):
+    monkeypatch.setattr(dynamics, "_cores", lambda: 2)
+    names = _note_draw_threads(monkeypatch)
+    before = threading.enumerate()
+    cfg = SamplerConfig(kind="mmfld", eta=1e-3, temperature=0.0 if how == "no-noise" else 0.1,
+                        steps=6)
+    obj = _FailsAtIteration(3) if how == "objective-raises" else MeanMatchBarrier(target=Q)
+
+    def diagnostics(ens):
+        if how == "diagnostics-raise" and ens.iteration == 4:
+            raise ValueError("bad tick")
+        return ens.iteration
+
+    def run():
+        return run_sampler(initial_ensemble(simplex3, 64, seed=0), simplex3, obj, cfg,
+                           diagnostics=None if how == "objective-raises" else diagnostics)
+
+    if how in ("completes", "no-noise"):
+        run()
+    else:
+        with pytest.raises(SamplerError) as err:
+            run()
+        assert err.value.iteration == (3 if how == "objective-raises" else 4)
+    assert threading.enumerate() == before
+    assert (_helper_draws(names) > 0) == (how != "no-noise")
 
 
 # -- allocator policy -----------------------------------------------------------

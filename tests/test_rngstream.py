@@ -1,6 +1,7 @@
 """Counter-based stream protocol: reproducibility, slicing, independence."""
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from mirrormfld import rngstream
 
@@ -18,6 +19,21 @@ def test_slices_match_full_block(dim):
         part = rngstream.normal_block(123, 9, 2, lo, hi, dim)
         assert part.shape == (dim, hi - lo) and part.flags.c_contiguous
         assert np.array_equal(full[:, lo:hi], part)
+
+
+@pytest.mark.parametrize("lo, hi, dim", [(123, 10_123, 2), (0, 2000, 49)])
+def test_blocks_drawn_in_pieces_equal_one_shot_block(lo, hi, dim):
+    # several pieces, the last one short
+    rows_per_piece = rngstream.PIECE_WORDS // (4 * ((dim + 3) // 4))
+    assert (hi - lo) > 3 * rows_per_piece and (hi - lo) % rows_per_piece
+    u = (rngstream.raw_block(11, 6, 2, lo, hi, dim) >> np.uint64(11)).astype(np.float64)
+    u += 0.5
+    u *= 2.0 ** -53
+    uniform = rngstream.uniform_block(11, 6, 2, lo, hi, dim)
+    normal = rngstream.normal_block(11, 6, 2, lo, hi, dim)
+    assert uniform.flags.c_contiguous and normal.flags.c_contiguous
+    assert np.array_equal(uniform.view(np.uint64), u.view(np.uint64))
+    assert np.array_equal(normal.view(np.uint64), ndtri(u).view(np.uint64))
 
 
 def test_distinct_keys_decorrelate():

@@ -1,5 +1,6 @@
 """Bound calculators: exact values, limits, monotonicity."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,18 @@ def test_bias_monotone_in_eta():
     etas = np.linspace(1e-4, 1.0, 64)
     vals = [step_bias(e, 1.3, 0.8, 0.1, 3, 2.0) for e in etas]
     assert np.all(np.diff(vals) > 0)
+
+
+@pytest.mark.parametrize("call, term", [
+    (lambda: step_bias(1e-3, 1.0, 1e100, 0.1, 2, 1.0), "M2^4"),
+    (lambda: step_bias(1e-3, 1e200, 1.0, 0.1, 2, 1.0), "M1^2"),
+    (lambda: objective_gap_bound(1.0, 1.0, 0.1, 1e-3, 10, 100, 1.0, 1e200, 0.0), "R^2"),
+    (lambda: convergence_envelopes(lsi_constant=1.0, temperature=0.1, loss_smoothness=1.0,
+                                   output_radius=1e200, particles=100), "R^2"),
+])
+def test_overflowing_power_names_its_term(call, term):
+    with pytest.raises(ValueError, match=rf"the term {re.escape(term)} = .* overflows"):
+        call()
 
 
 def test_bias_leading_coefficient():
