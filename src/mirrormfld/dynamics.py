@@ -23,6 +23,17 @@ drift, noise, factor, kick, cap, near-face redraw and ``ambient_from_dual``
 chunk's ambient points are transposed once into the row-major (N, d)
 ``points`` that objectives and diagnostics read.
 
+A step allocates its outputs last.  Each chunk returns its new state and
+its row-major points, and the step joins the chunks' pieces only once all
+of them have freed their temporaries; a lone chunk's pieces are the outputs
+themselves.  Counted in arrays the size of the (N, d) state, a mirror step
+therefore holds, besides its input ensemble, at most about four at its
+peak -- the drifted dual, its noise block, the ambient points and the
+kick factor's fresh diagonal (see ``SimplexEntropyMap.diffusion_substep``)
+-- and a projected step about 3.4 at d = 3: the moved points, their sorted
+copy and the projection's four rows of N.  A noise block drawn ahead
+(below) adds one (m, N) or (d, N) block.
+
 All per-particle noise comes from the counter-based streams in
 ``rngstream``, keyed by (seed, particle, iteration, substep), so the
 ensemble is the whole state of a run: results are independent of how
@@ -194,11 +205,17 @@ def _chunk_ranges(n: int, chunks: int):
 
 
 def _run_chunks(fn, ranges, pool):
+    """``fn(lo, hi)`` for every range, on the pool when there are several;
+    their results, in order."""
     if pool is None or len(ranges) == 1:
-        for lo, hi in ranges:
-            fn(lo, hi)
-    else:
-        list(pool.map(lambda r: fn(*r), ranges))
+        return [fn(lo, hi) for lo, hi in ranges]
+    return list(pool.map(lambda r: fn(*r), ranges))
+
+
+def _joined(parts, axis: int) -> Array:
+    """The chunks' pieces of one output as one array; a lone piece is the
+    output itself, uncopied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
 
 
 def _mirror_iteration(ensemble: ParticleEnsemble, mirror_map, objective,
@@ -212,16 +229,15 @@ def _mirror_iteration(ensemble: ParticleEnsemble, mirror_map, objective,
     floats, a lossy round trip that bottoms out at machine epsilon near a
     face, so particles are tracked within any positive distance of it.
     Each chunk works on coordinate-first (m, hi - lo) arrays, in place
-    where it can.  ``noise(seed, k, s, lo, hi, m)`` supplies the normal
+    where it can, and returns its dual and row-major points for the step
+    to join.  ``noise(seed, k, s, lo, hi, m)`` supplies the normal
     blocks; it defaults to ``rngstream.normal_block``.
     """
     noise = noise or rngstream.normal_block
-    dual, ambient = ensemble.dual, ensemble.points
+    dual = ensemble.dual
     m, n = dual.shape
     seed, k = ensemble.seed, ensemble.iteration
     record = ensemble.evaluation(objective)
-    out_dual = np.empty_like(dual)
-    out_ambient = np.empty_like(ambient)
 
     def update(lo, hi):
         # the drift is built in the pulled-back gradient, a fresh array
@@ -233,32 +249,44 @@ def _mirror_iteration(ensemble: ParticleEnsemble, mirror_map, objective,
             y, mirror_map, cfg.temperature, cfg.eta, cfg.substeps,
             lambda s: noise(seed, k, s, lo, hi, m),
             step_cap=DUAL_STEP_CAP)
-        out_dual[:, lo:hi] = y
-        out_ambient[lo:hi] = mirror_map.ambient_from_dual(y).T
+        return y, np.ascontiguousarray(mirror_map.ambient_from_dual(y).T)
 
-    _run_chunks(update, _chunk_ranges(n, chunks), pool)
-    return replace(ensemble, points=out_ambient, dual=out_dual, iteration=k + 1)
+    duals, points = zip(*_run_chunks(update, _chunk_ranges(n, chunks), pool))
+    out_dual = _joined(duals, axis=1)
+    del duals
+    return replace(ensemble, points=_joined(points, axis=0), dual=out_dual, iteration=k + 1)
 
 
 def project_simplex(v: Array) -> Array:
     """Euclidean projection onto {x >= 0, sum x = 1} (sorted-threshold rule).
 
     Coordinate-first like the geometry kernels: a single (d,) point or a
-    (d, N) batch, projected column by column.
+    (d, N) batch, projected column by column.  With the values of a column
+    sorted in decreasing order s_0 >= s_1 >= ..., c_k their running sum and
+    k* the largest rank with (k + 1) s_k > c_k - 1 (d - 1 if there is none),
+    the projection is max(v - theta, 0) for theta = (c_k* - 1) / (k* + 1).
+    Both come from one pass per rank over rows of N, so besides its output
+    the projection holds the sorted copy and a few rows.
     """
     v = np.asarray(v, dtype=np.float64)
     cols = v.reshape(v.shape[0], -1)
     d, n = cols.shape
-    # in place where it can: each (d, N) temporary is as large as the input
-    s = np.sort(cols, axis=0)[::-1]
-    cumsum = np.cumsum(s, axis=0)
-    cumsum -= 1.0
-    s *= np.arange(1, d + 1)[:, None]
-    active = s > cumsum
-    del s
-    k_star = d - 1 - np.argmax(active[::-1], axis=0)
-    theta = cumsum[k_star, np.arange(n)] / (k_star + 1)
-    del cumsum, active
+    # the sorted copy is ours: each row is scaled in place once summed; a
+    # zero running sum's sign shows nowhere, since it is read as c_k - 1
+    desc = np.sort(cols, axis=0)[::-1]
+    running, shifted, theta, count = np.zeros((4, n))
+    active = np.empty(n, dtype=bool)
+    for k in range(d):
+        running += desc[k]
+        np.subtract(running, 1.0, out=shifted)
+        desc[k] *= k + 1
+        np.greater(desc[k], shifted, out=active)
+        np.copyto(theta, shifted, where=active)
+        np.copyto(count, k + 1, where=active)
+    del desc, active
+    none = count == 0
+    theta[none], count[none] = shifted[none], d
+    theta /= count
     out = np.subtract(cols, theta)
     return np.maximum(out, 0.0, out=out).reshape(v.shape)
 
@@ -280,8 +308,9 @@ def euclidean_step(ensemble: ParticleEnsemble, mirror_map, objective, cfg: Sampl
     Implements both the projected baseline (``projected-mfld``) and the
     unconstrained sanity sampler (``mfld``); the only difference is whether
     the projection is applied.  Each chunk works on (d, hi - lo) arrays,
-    transposed once into ``points`` as in the mirror step; ``noise`` is as
-    there, with substep 0.
+    transposed once into its rows of ``points`` as in the mirror step, and
+    frees its noise block before it projects; ``noise`` is as there, with
+    substep 0.
     """
     noise = noise or rngstream.normal_block
     pts = ensemble.points
@@ -290,7 +319,6 @@ def euclidean_step(ensemble: ParticleEnsemble, mirror_map, objective, cfg: Sampl
     k, seed = ensemble.iteration, ensemble.seed
     noise_scale = np.sqrt(2.0 * cfg.temperature * cfg.eta)
     project = cfg.kind == "projected-mfld"
-    out = np.empty_like(pts)
 
     def update(lo, hi):
         x = np.multiply(objective.potential_grad(record.rows(lo, hi)).T, cfg.eta,
@@ -300,9 +328,12 @@ def euclidean_step(ensemble: ParticleEnsemble, mirror_map, objective, cfg: Sampl
             kick = noise(seed, k, 0, lo, hi, d)
             kick *= noise_scale
             x += kick
-        out[lo:hi] = (_project_ambient(x, mirror_map) if project else x).T
+            del kick
+        if project:
+            x = _project_ambient(x, mirror_map)
+        return np.ascontiguousarray(x.T)
 
-    _run_chunks(update, _chunk_ranges(n, chunks), pool)
+    out = _joined(_run_chunks(update, _chunk_ranges(n, chunks), pool), axis=0)
     # a dual carried in from a mirror run no longer describes these points
     return replace(ensemble, points=out, dual=None, iteration=k + 1)
 

@@ -32,6 +32,14 @@ diagonal plus one constant sub-diagonal per column for the simplex.
 the one dense reference for the Hessian; it serves tests and checks, not the
 sampler.
 
+A substep leaves its inputs y and xi unchanged and holds few arrays of
+their size.  The simplex substep peaks at the (d, n) ambient points plus the
+factor's fresh (m, n) diagonal and one row: it copies out the near-face
+columns of the ambient points and frees the points before the factor
+allocates its (m - 1, n) ``col`` and a pivot row, then builds the kick in
+the factor's root and the kick's running sum in ``col``.  The box substep builds its kick
+in its (m, n) diagonal.
+
 Everything here is a pure function of its inputs; no coordination is
 needed between concurrent callers.
 """
@@ -112,23 +120,25 @@ def _diag_rank_one_factor(diag, bump, what):
     """Cholesky factor of diag(diag) + bump * ones(m, m), batched, as (root, col).
 
     Column k of the factor holds root[k] on the diagonal and the constant
-    col[k] everywhere below it; both are (m, ...) like diag.  The pivot
-    recursion for this structure is cancellation-free -- the
+    col[k] everywhere below it; root is (m, ...) like diag, and col is
+    (m - 1, ...), since the last column has nothing below its diagonal.
+    The pivot recursion for this structure is cancellation-free -- the
     Schur-complement bump updates as bump * d_k / (d_k + bump), a positive
     product -- so the factorization succeeds whenever the inputs are
     positive and finite, even when the rank-one term dominates by hundreds
     of orders of magnitude (LAPACK's generic routine breaks down there).
 
-    ``diag`` is consumed: a fresh array from the caller, overwritten row by
-    row as ``root`` once its row has fed the recursion, so the factor costs
-    one (m, ...) array besides its input.
+    ``diag`` and ``bump`` are consumed: fresh arrays from the caller, diag
+    overwritten row by row as ``root`` once its row has fed the recursion,
+    bump overwritten by the running Schur-complement bump.  Besides its
+    inputs the factor costs ``col`` and one pivot row.
     """
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(bump))):
         raise FactorizationError(f"{what}: non-finite Hessian entries (point at boundary?)")
     shape, m = diag.shape, diag.shape[0]
     root = diag.reshape(m, -1)
-    col = np.zeros(root.shape)
-    bump = np.broadcast_to(bump, shape[1:]).reshape(-1).copy()
+    bump = bump.reshape(-1)
+    col = np.empty((m - 1, root.shape[1]))
     pivot = np.empty(root.shape[1])
     # pivots are checked once at the end: a nonpositive one leaves a
     # nonpositive or NaN root behind; col[k] holds the ratio until the end
@@ -144,7 +154,7 @@ def _diag_rank_one_factor(diag, bump, what):
                 ratio *= root[k]
     if not np.all(root > 0):
         raise FactorizationError(f"{what}: Hessian not numerically SPD")
-    return root.reshape(shape), col.reshape(shape)
+    return root.reshape(shape), col.reshape((m - 1,) + shape[1:])
 
 
 def _diag_root(d, scale):
@@ -238,12 +248,6 @@ class SimplexEntropyMap:
 
     # -- Hessian metric ---------------------------------------------------
 
-    @staticmethod
-    def _factor(ambient: Array, scale: float) -> tuple[Array, Array]:
-        """The (root, col) factor of scale * H at the ambient point."""
-        return _diag_rank_one_factor(scale / ambient[:-1], scale / ambient[-1],
-                                     "simplex metric")
-
     def metric_from_dual(self, y: Array, scale: float) -> tuple[Array, Array]:
         """Dense (H, L) at x = backward(y): the reduced Hessian
         H = diag(1/x_c) + (1/x_d) 11^T and L L^T = scale * H, from the factor
@@ -254,9 +258,13 @@ class SimplexEntropyMap:
         h = _diag_matrix(1.0 / ambient[:-1]) + 1.0 / ambient[-1]
         if scale == 0.0:
             return h, np.zeros_like(h)
-        root, col = self._factor(ambient, scale)
-        below = _column(np.tri(self.intrinsic_dim, k=-1, dtype=bool), root)
-        return h, np.where(below, col[None], 0.0) + _diag_matrix(root)
+        root, col = _diag_rank_one_factor(scale / ambient[:-1], scale / ambient[-1],
+                                          "simplex metric")
+        m = self.intrinsic_dim
+        ell = _diag_matrix(root)
+        ell[:, :-1] += np.where(_column(np.tri(m, m - 1, k=-1, dtype=bool), root),
+                                col[None], 0.0)
+        return h, ell
 
     def diffusion_substep(self, y: Array, scale: float, xi: Array,
                           step_cap: float | None = None) -> Array:
@@ -278,27 +286,35 @@ class SimplexEntropyMap:
         y = _as_points(y, self.intrinsic_dim, "dual point")
         xi = np.asarray(xi, dtype=np.float64)
         ambient = self.ambient_from_dual(y)
-        # the kick is built in the factor's root: L xi in O(m), since column k
-        # of L is constant below its diagonal, so row k adds the running sum
-        # of col * xi over earlier rows
-        kick, col = self._factor(ambient, scale)
-        kick *= xi
-        running = np.zeros(y.shape[1:])
-        for k in range(1, self.intrinsic_dim):
-            running += col[k - 1] * xi[k - 1]
-            kick[k] += running
-        if step_cap is not None:
-            np.clip(kick, -step_cap, step_cap, out=kick)
-        kick += y
+        near = None
         if step_cap is not None:
             deep = np.min(ambient, axis=0) < scale / step_cap ** 2
             if np.any(deep):
-                amb = ambient[:, deep]
-                face = np.argmin(amb, axis=0)
-                exp_draw = -np.log1p(-ndtr(xi[0, deep]))
-                amb[face, np.arange(amb.shape[1])] = 0.5 * scale * exp_draw
-                amb /= coordinate_sum(amb)
-                kick[:, deep] = np.log(amb[:-1]) - np.log(amb[-1])
+                near = ambient[:, deep]
+        # the factor's inputs are fresh, so it builds in them; ambient is
+        # freed before it allocates
+        diag, bump = scale / ambient[:-1], scale / ambient[-1]
+        del ambient
+        kick, col = _diag_rank_one_factor(diag, bump, "simplex metric")
+        # the kick is built in the factor's root: L xi in O(m), since column k
+        # of L is constant below its diagonal, so row k adds the running sum
+        # of col * xi over earlier rows, built in col.  Started from
+        # col[0] * xi[0], not from +0.0, the sum can differ from one started
+        # at +0.0 only in the sign of a zero, which takes an xi of -0.0
+        kick *= xi
+        col *= xi[:-1]
+        for k in range(1, len(col)):
+            col[k] += col[k - 1]
+        kick[1:] += col
+        if step_cap is not None:
+            np.clip(kick, -step_cap, step_cap, out=kick)
+        kick += y
+        if near is not None:
+            face = np.argmin(near, axis=0)
+            exp_draw = -np.log1p(-ndtr(xi[0, deep]))
+            near[face, np.arange(near.shape[1])] = 0.5 * scale * exp_draw
+            near /= coordinate_sum(near)
+            kick[:, deep] = np.log(near[:-1]) - np.log(near[-1])
         return kick
 
     # -- probe support ----------------------------------------------------

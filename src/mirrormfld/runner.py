@@ -134,13 +134,15 @@ def run_experiment(config: RunConfig, *, workers: int = 1) -> RunResult:
     """
     mirror_map = build_mirror_map(config)
     objective = build_objective(config)
-    ensemble = initial_ensemble(mirror_map, config.sampler.particles, config.seed)
     record = metrics_recorder(mirror_map, objective, config.boundary_epsilon)
 
     t0 = time.perf_counter()
-    ensemble, rows = run_sampler(ensemble, mirror_map, objective, config.sampler,
-                                 diagnostics=record, every=config.every,
-                                 workers=workers)
+    # the start goes straight in: no name here keeps its (N, d) points alive
+    # once the run has moved past them
+    ensemble, rows = run_sampler(
+        initial_ensemble(mirror_map, config.sampler.particles, config.seed),
+        mirror_map, objective, config.sampler, diagnostics=record, every=config.every,
+        workers=workers)
     runtime = time.perf_counter() - t0
 
     final = rows[-1] if rows else record(ensemble)

@@ -3,7 +3,9 @@
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines as they complete.  The heavy particle runs (criteria 3, 4/7, 6, 8, 10)
 share session fixtures where the criteria share runs: the (beta 0, mmfld,
-seed 0) figure-1 run serves criteria 4, 6 and 10.
+seed 0) figure-1 run serves criteria 4, 6 and 10.  The independent runs of
+the figure-1 fixture and of criteria 8 and 10 go to a pool of one process
+per core the suite may run on; each run's wall time is still its own.
 
 Criterion 6a's final-loss clause at beta = 0 is expected to fail: with both
 samplers sharing the continuous-time minimizer, projection's boundary
@@ -14,12 +16,13 @@ The criterion is asserted as stated rather than weakened.
 """
 import json
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from mirrormfld import rngstream, theory
+from mirrormfld import dynamics, rngstream, theory
 from mirrormfld.config import figure1_config, dirichlet_config, parse_config
 from mirrormfld.dynamics import SamplerConfig, initial_ensemble, run_sampler
 from mirrormfld.geometry import BoxLogBarrierMap, SimplexEntropyMap
@@ -70,28 +73,41 @@ def _figure1_run(out_dir, *, beta=0.0, sampler="mmfld", seed=0, workers=1):
 
 
 @pytest.fixture(scope="session")
-def figure1_mirror_run(tmp_path_factory):
-    """The (beta 0, mmfld, seed 0) run: criterion 4's run (and criterion 7's
-    gap series), one of the 12 figure-1 runs and criterion 10's first run."""
-    return _figure1_run(tmp_path_factory.mktemp("criterion4"))
+def run_pool():
+    """One process per core the suite may run on, for independent runs."""
+    with ProcessPoolExecutor(max_workers=dynamics._cores()) as pool:
+        yield pool
 
 
 @pytest.fixture(scope="session")
-def figure1_runs(tmp_path_factory, figure1_mirror_run):
+def figure1_futures(tmp_path_factory, run_pool):
+    """All 12 figure-1 A/B runs, submitted at once with the (beta 0, mmfld,
+    seed 0) run first: (beta, sampler, seed) -> future of (result, wall time)."""
+    out = tmp_path_factory.mktemp("figure1")
+    keys = [(beta, sampler, seed) for beta in (0.0, 1e-4)
+            for sampler in ("mmfld", "projected-mfld") for seed in (0, 1, 2)]
+    return {(beta, sampler, seed): run_pool.submit(
+                _figure1_run, out / f"{beta}_{sampler}_{seed}",
+                beta=beta, sampler=sampler, seed=seed)
+            for beta, sampler, seed in keys}
+
+
+@pytest.fixture(scope="session")
+def figure1_mirror_run(figure1_futures):
+    """The (beta 0, mmfld, seed 0) run: criterion 4's run (and criterion 7's
+    gap series), one of the 12 figure-1 runs and criterion 10's first run."""
+    return figure1_futures[(0.0, "mmfld", 0)].result()
+
+
+@pytest.fixture(scope="session")
+def figure1_runs(figure1_futures):
     """All figure-1 A/B runs, (beta, sampler, seed) -> summary, and the sum
     of the 12 runs' own wall times."""
-    out = tmp_path_factory.mktemp("figure1")
-    shared, elapsed = figure1_mirror_run
-    runs = {(0.0, "mmfld", 0): shared.summary}
-    for beta in (0.0, 1e-4):
-        for sampler in ("mmfld", "projected-mfld"):
-            for seed in (0, 1, 2):
-                if (beta, sampler, seed) in runs:
-                    continue
-                res, own = _figure1_run(out / f"{beta}_{sampler}_{seed}",
-                                        beta=beta, sampler=sampler, seed=seed)
-                runs[(beta, sampler, seed)] = res.summary
-                elapsed += own
+    runs, elapsed = {}, 0.0
+    for key, future in figure1_futures.items():
+        res, own = future.result()
+        runs[key] = res.summary
+        elapsed += own
     return runs, elapsed
 
 
@@ -290,28 +306,34 @@ def test_criterion_06b_barrier(figure1_runs):
 
 # -- criterion 8: propagation-of-chaos trend ------------------------------------------
 
-def test_criterion_08_propagation_of_chaos():
-    t0 = time.perf_counter()
+def _network_gap(n, seed):
+    """The settled F of one network run at N = n."""
     theta = np.arange(8) * np.pi / 4
     ring = np.column_stack([np.cos(theta), np.sin(theta)])
     features = np.concatenate([0.7 * ring, 1.4 * ring])
     net = NetworkRisk(features=features, labels=np.zeros(16))
     box = BoxLogBarrierMap(bounds=((-3.0, 3.0),) * 3)
     cfg = SamplerConfig(kind="mmfld", eta=0.1, temperature=0.1, steps=1500)
+    # zero labels + symmetric box: the minimizer is exactly symmetric,
+    # F(mu*) = 0, so the settled F itself is the particle gap
+    ens = initial_ensemble(box, n, seed=seed)
+    tail = []
 
-    def final_gap(n, seed):
-        # zero labels + symmetric box: the minimizer is exactly symmetric,
-        # F(mu*) = 0, so the settled F itself is the particle gap
-        ens = initial_ensemble(box, n, seed=seed)
-        tail = []
-        def diag(e):
-            if e.iteration > 1000:
-                tail.append(net.value(e.evaluation(net)))
-        run_sampler(ens, box, net, cfg, diagnostics=diag, every=1)
-        return float(np.mean(tail))
+    def diag(e):
+        if e.iteration > 1000:
+            tail.append(net.value(e.evaluation(net)))
 
-    gaps = {n: np.mean([final_gap(n, seed) for seed in (0, 1, 2)])
-            for n in (1000, 4000, 16000)}
+    run_sampler(ens, box, net, cfg, diagnostics=diag, every=1)
+    return float(np.mean(tail))
+
+
+def test_criterion_08_propagation_of_chaos(run_pool):
+    t0 = time.perf_counter()
+    sizes, seeds = (1000, 4000, 16000), (0, 1, 2)
+    # the largest runs first, so that the pool's last runs are short ones
+    futures = {(n, seed): run_pool.submit(_network_gap, n, seed)
+               for n in sizes[::-1] for seed in seeds}
+    gaps = {n: np.mean([futures[n, seed].result() for seed in seeds]) for n in sizes}
     elapsed = time.perf_counter() - t0
     ok = gaps[1000] >= gaps[4000] >= gaps[16000] and elapsed < 600
     detail = ", ".join(f"N={n}: {g:.3e} (N*gap {n * g:.3f})"
@@ -345,7 +367,7 @@ def test_criterion_09_theory_calculators():
 
 # -- criterion 10: determinism across workers --------------------------------------------
 
-def test_criterion_10_determinism(tmp_path, figure1_mirror_run):
+def test_criterion_10_determinism(tmp_path, figure1_mirror_run, run_pool):
     shared, elapsed = figure1_mirror_run
 
     def rows(res):
@@ -354,10 +376,10 @@ def test_criterion_10_determinism(tmp_path, figure1_mirror_run):
         return [line.rsplit(",", 1)[0] for line in lines]
 
     first = rows(shared)
-    again, own = _figure1_run(tmp_path / "w1b")
-    elapsed += own
-    eight, own = _figure1_run(tmp_path / "w8", workers=8)
-    elapsed += own
+    repeats = [run_pool.submit(_figure1_run, tmp_path / "w1b"),
+               run_pool.submit(_figure1_run, tmp_path / "w8", workers=8)]
+    (again, own_again), (eight, own_eight) = (future.result() for future in repeats)
+    elapsed += own_again + own_eight
     ok = first == rows(again) == rows(eight)
     assert report(10, "determinism across repeats and worker counts", ok,
                   f"{len(first)} csv rows compared, 3 runs {elapsed:.0f}s")

@@ -1,6 +1,7 @@
 """Sampler mechanics: steps, projection, feasibility, determinism, streams."""
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -146,6 +147,42 @@ def test_project_simplex_is_the_euclidean_projection(d, n, seed, scale, offset, 
         assert np.ptp(theta) <= tol
         assert np.all(v[~on, j] <= theta[0] + tol)
         assert project_simplex(v[:, j]).tobytes() == p[:, j].tobytes()
+
+
+def _reference_projection(v):
+    """The sorted-threshold projection with its (d, N) running sums and
+    active ranks held whole, the largest active rank found by ``argmax``."""
+    cols = v.reshape(v.shape[0], -1)
+    d, n = cols.shape
+    s = np.sort(cols, axis=0)[::-1]
+    cumsum = np.cumsum(s, axis=0)
+    cumsum -= 1.0
+    s *= np.arange(1, d + 1)[:, None]
+    active = s > cumsum
+    k_star = d - 1 - np.argmax(active[::-1], axis=0)
+    theta = cumsum[k_star, np.arange(n)] / (k_star + 1)
+    return np.maximum(cols - theta, 0.0).reshape(v.shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.sampled_from([2, 3, 10, 50]), n=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1e-3, 1.0, 100.0, 1e17]),
+       offset=st.sampled_from([0.0, -5.0, 5.0]), ties=st.booleans(),
+       zeros=st.integers(0, 6), negative_zeros=st.booleans())
+def test_project_simplex_equals_sorted_threshold_reference(d, n, seed, scale, offset, ties,
+                                                           zeros, negative_zeros):
+    # equal as uint64 words, on batches and on single points; at scale 1e17
+    # c_k - 1 rounds to c_k, so tied columns have no active rank at all
+    rng = np.random.default_rng(seed)
+    v = offset + scale * rng.standard_normal((d, n))
+    if ties:
+        v[d // 2:] = v[0]
+    v.flat[rng.integers(v.size, size=zeros)] = -0.0 if negative_zeros else 0.0
+    v_in = v.copy()
+    expect = _reference_projection(v).view(np.uint64)
+    assert np.array_equal(project_simplex(v).view(np.uint64), expect)
+    assert np.array_equal(project_simplex(v[:, 0]).view(np.uint64), expect[:, 0])
+    assert np.array_equal(v.view(np.uint64), v_in.view(np.uint64))
 
 
 def test_projected_step_identity_without_noise(simplex3):
@@ -599,6 +636,34 @@ def test_no_thread_outlives_run_sampler(simplex3, monkeypatch, how):
         assert err.value.iteration == (3 if how == "objective-raises" else 4)
     assert threading.enumerate() == before
     assert (_helper_draws(names) > 0) == (how != "no-noise")
+
+
+# -- memory held by one step ----------------------------------------------------
+
+@pytest.mark.parametrize("kind, dim, n, budget", [("mmfld", 50, 2000, 4.5),
+                                                  ("projected-mfld", 3, 10_000, 4.0)])
+def test_step_peak_memory_budget(kind, dim, n, budget):
+    # the traced allocation peak of one step, outputs included, in arrays the
+    # size of the (N, d) state.  The mirror step peaks as the kick's factor
+    # gets its diagonal: the drifted dual, the noise block, the ambient points
+    # and that diagonal, about four.  The projected step peaks in the
+    # projection: the moved points, their sorted copy and four rows of N.
+    mirror_map = SimplexEntropyMap(ambient_dim=dim)
+    obj = (LinearPotential(alpha=(2.0,) * dim, reference_temperature=0.1) if kind == "mmfld"
+           else MeanMatchBarrier(target=Q, beta=1e-4))
+    cfg = SamplerConfig(kind=kind, eta=1e-3, temperature=0.1, steps=1)
+    ens, _ = run_sampler(initial_ensemble(mirror_map, n, seed=0), mirror_map, obj, cfg)
+    ens.evaluation(obj)
+    step = dynamics._mirror_iteration if kind == "mmfld" else euclidean_step
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = step(ens, mirror_map, obj, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.iteration == ens.iteration + 1
+    assert peak / ens.points.nbytes <= budget
 
 
 # -- allocator policy -----------------------------------------------------------

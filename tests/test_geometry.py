@@ -273,6 +273,88 @@ def test_simplex_kick_matches_dense_factor(dim, rng):
         assert np.max(np.abs(got - (y + dense)) / size) <= 1e-12
 
 
+def _reference_factor(diag, bump):
+    """The pivot recursion of ``_diag_rank_one_factor`` on its own copies:
+    a copied bump and an (m, N) col whose last row stays zero."""
+    m = diag.shape[0]
+    root = diag.copy()
+    col = np.zeros(root.shape)
+    bump = np.broadcast_to(bump, root.shape[1:]).copy()
+    pivot = np.empty(root.shape[1:])
+    for k in range(m):
+        np.add(root[k], bump, out=pivot)
+        if k + 1 < m:
+            ratio = np.divide(bump, pivot, out=col[k])
+            np.multiply(root[k], ratio, out=bump)
+        np.sqrt(pivot, out=root[k])
+        if k + 1 < m:
+            ratio *= root[k]
+    return root, col
+
+
+def _reference_kick(mm, y, scale, xi, step_cap=None):
+    """The simplex substep with the kick's running sum in its own row,
+    started at +0.0 and added row by row, and every array kept to the end."""
+    ambient = mm.ambient_from_dual(y)
+    kick, col = _reference_factor(scale / ambient[:-1], scale / ambient[-1])
+    kick *= xi
+    running = np.zeros(y.shape[1:])
+    for k in range(1, mm.intrinsic_dim):
+        running += col[k - 1] * xi[k - 1]
+        kick[k] += running
+    if step_cap is not None:
+        np.clip(kick, -step_cap, step_cap, out=kick)
+    kick += y
+    if step_cap is not None:
+        deep = np.min(ambient, axis=0) < scale / step_cap ** 2
+        if np.any(deep):
+            amb = ambient[:, deep]
+            face = np.argmin(amb, axis=0)
+            exp_draw = -np.log1p(-ndtr(xi[0, deep]))
+            amb[face, np.arange(amb.shape[1])] = 0.5 * scale * exp_draw
+            amb /= coordinate_sum(amb)
+            kick[:, deep] = np.log(amb[:-1]) - np.log(amb[-1])
+    return kick
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("duals", ["random", "near-face"])
+@pytest.mark.parametrize("step_cap", [None, 4.0])
+@pytest.mark.parametrize("dim", [2, 3, 50])
+def test_simplex_kick_equals_row_by_row_reference(dim, step_cap, duals, rng):
+    # the kick and the dense factor, built in fewer arrays, equal the
+    # row-by-row reference as uint64 words; near-face duals put about half
+    # the columns inside the redraw layer min(x) < scale / cap**2
+    m, n, scale = dim - 1, 400, 6e-4
+    mm = SimplexEntropyMap(ambient_dim=dim)
+    if duals == "random":
+        y = rng.uniform(-20, 20, size=(m, n))
+    else:
+        amb = rng.dirichlet(np.ones(dim), size=n)
+        amb[np.arange(n // 2), rng.integers(0, dim, n // 2)] = np.exp(
+            rng.uniform(np.log(1e-9), np.log(1e-3), n // 2))
+        y = (np.log(amb[:, :-1]) - np.log(amb[:, -1:])).T.copy()
+        y[:, 0] = 46.0 - np.arange(m)
+        y[:, 1] = -300.0
+        y[0, 2] = -300.0
+        deep = mm.ambient_from_dual(y).min(axis=0) < scale / 4.0 ** 2
+        assert 0 < deep.sum() < n
+    xi = rng.standard_normal((m, n))
+    y_in, xi_in = y.copy(), xi.copy()
+    got = mm.diffusion_substep(y, scale, xi, step_cap=step_cap)
+    assert got.shape == (m, n) and got.flags.c_contiguous
+    assert np.array_equal(_bits(got), _bits(_reference_kick(mm, y, scale, xi, step_cap)))
+    assert np.array_equal(_bits(y), _bits(y_in)) and np.array_equal(_bits(xi), _bits(xi_in))
+    ambient = mm.ambient_from_dual(y)
+    root, col = _reference_factor(scale / ambient[:-1], scale / ambient[-1])
+    below = np.tri(m, k=-1, dtype=bool)[:, :, None]
+    dense = np.where(below, col[None], 0.0) + root[None] * np.eye(m)[:, :, None]
+    assert np.array_equal(_bits(mm.metric_from_dual(y, scale)[1]), _bits(dense))
+
+
 def test_box_kick_matches_dense_factor_bit_for_bit(box2, rng):
     y = rng.uniform(-1e3, 1e3, size=(500, 2))
     xi = rng.standard_normal(y.shape)
