@@ -28,11 +28,12 @@ its row-major points, and the step joins the chunks' pieces only once all
 of them have freed their temporaries; a lone chunk's pieces are the outputs
 themselves.  Counted in arrays the size of the (N, d) state, a mirror step
 therefore holds, besides its input ensemble, at most about four at its
-peak -- the drifted dual, its noise block, the ambient points and the
-kick factor's fresh diagonal (see ``SimplexEntropyMap.diffusion_substep``)
--- and a projected step about 3.4 at d = 3: the moved points, their sorted
-copy and the projection's four rows of N.  A noise block drawn ahead
-(below) adds one (m, N) or (d, N) block.
+peak -- the drifted dual (or, after the first substep, the substep before),
+its noise block, the ambient points and the kick factor's fresh diagonal
+(see ``SimplexEntropyMap.diffusion_substep``) -- and a projected step about
+3.4 at d = 3: the moved points, their sorted copy and the projection's four
+rows of N.  A noise block drawn ahead (below) adds one (m, N) or (d, N)
+block.
 
 All per-particle noise comes from the counter-based streams in
 ``rngstream``, keyed by (seed, particle, iteration, substep), so the
@@ -198,10 +199,13 @@ def inner_diffusion(y: Array, mirror_map, temperature: float, eta: float,
     return y
 
 
-def _chunk_ranges(n: int, chunks: int):
+@functools.lru_cache(maxsize=64)
+def _chunk_ranges(n: int, chunks: int) -> tuple:
+    """The (lo, hi) row ranges of ``chunks`` near-equal chunks of n rows;
+    cached, since every step of a run asks for the same ones."""
     chunks = max(1, min(chunks, n))
     edges = np.linspace(0, n, chunks + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+    return tuple((int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a)
 
 
 def _run_chunks(fn, ranges, pool):
@@ -239,14 +243,20 @@ def _mirror_iteration(ensemble: ParticleEnsemble, mirror_map, objective,
     seed, k = ensemble.seed, ensemble.iteration
     record = ensemble.evaluation(objective)
 
-    def update(lo, hi):
+    def drifted(lo, hi):
         # the drift is built in the pulled-back gradient, a fresh array
         y = mirror_map.pullback(objective.potential_grad(record.rows(lo, hi)).T)
         y *= -cfg.eta
         np.clip(y, -DUAL_STEP_CAP, DUAL_STEP_CAP, out=y)
         y += dual[:, lo:hi]
+        return y
+
+    def update(lo, hi):
+        # the drifted dual is passed unnamed, so once the first substep has
+        # read it nothing holds it (CPython 3.11+ hands a call's arguments
+        # to the callee)
         y = inner_diffusion(
-            y, mirror_map, cfg.temperature, cfg.eta, cfg.substeps,
+            drifted(lo, hi), mirror_map, cfg.temperature, cfg.eta, cfg.substeps,
             lambda s: noise(seed, k, s, lo, hi, m),
             step_cap=DUAL_STEP_CAP)
         return y, np.ascontiguousarray(mirror_map.ambient_from_dual(y).T)

@@ -25,6 +25,16 @@ The common surface, duck-typed across the three kinds, runs through one
     per-particle drift up to the mirror pullback.  Always a new (N, d)
     array, which the mirror step turns into the drift in place.
 
+Layout: records hold the row-major (N, d) points of the ensemble.  An
+elementwise pass along their short rows runs its inner loop d elements
+wide, so a per-particle gradient is built coordinate-first, as a C-ordered
+(d, N) array written through ``out=`` (a ufunc on a transposed view would
+allocate in the view's order), and returned transposed; the mirror step's
+pullback then reads contiguous rows.  Each such rewrite keeps the
+elementwise arithmetic of the row-major form, so its bits are unchanged.
+The positivity scan is one whole-array ``np.min``, and a NaN minimum fails
+it.
+
 Records come only from ``stats`` and from their ``rows`` slices (a sampler
 chunk reads ``record.rows(lo, hi)``).  ``first_variation_grad`` evaluates
 the frozen first variation at other points by giving them their own record
@@ -54,8 +64,12 @@ def _weights(n, weights):
 
 
 def _require_positive(ambient, what):
-    if np.min(ambient) <= 0.0:
-        raise DomainViolationError(f"{what} requires strictly positive coordinates")
+    # one pass; the negated test also catches a NaN minimum, where <= is False
+    least = np.min(ambient)
+    if not least > 0.0:
+        found = "non-finite" if np.isnan(least) else "non-positive"
+        raise DomainViolationError(f"{what} requires strictly positive coordinates "
+                                   f"(got a {found} coordinate)")
 
 
 @dataclass(frozen=True)
@@ -199,11 +213,17 @@ class MeanMatchBarrier:
         return g
 
     def potential_grad(self, record: Evaluation) -> Array:
+        """The (N, d) gradient 2 (mean - q) - beta / x, built coordinate-first
+        and returned transposed, as in ``LinearPotential``."""
         ambient = record.ambient
-        g = np.broadcast_to(2.0 * (record.stats - self._q), ambient.shape).copy()
+        shift = 2.0 * (record.stats - self._q)
+        grad = np.empty(ambient.shape[::-1])
         if self.beta > 0.0:
-            g -= self.beta / ambient
-        return g
+            np.divide(self.beta, ambient.T, out=grad)
+            np.subtract(shift[:, None], grad, out=grad)
+        else:
+            grad[...] = shift[:, None]
+        return grad.T
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,15 @@ Metrics CSV schema (fixed order, golden-tested)::
 Floats are written with ``repr`` so equal runs produce byte-identical
 files; ``wall_ms`` is the only nondeterministic column.  Bit-exactness is
 promised per platform and build, not across architectures.
+
+The tick reads the ensemble's row-major (N, d) points.  A numpy pass along
+their short rows runs its inner loop d elements wide, N times over, so each
+per-particle reduction is taken column by column or by one whole-array
+kernel, and names the numpy order it keeps: ``_row_min`` is
+``np.min(axis=-1)`` as a running minimum over the columns (the box's wall
+gaps taken column by column too), ``_column_mean`` is ``np.mean(axis=0)``'s
+running column sums through ``einsum``.  The whole-array ``np.min`` and
+``np.max`` stay as they are.
 """
 from __future__ import annotations
 
@@ -49,20 +58,37 @@ def boundary_fraction(ambient: Array, mirror_map, epsilon: float) -> float:
     """Share of particles within epsilon of the domain boundary."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if mirror_map.kind == "simplex-entropy":
-        dist = _row_min(ambient)
-    else:
-        dist = _row_min(np.minimum(ambient - mirror_map.lower, mirror_map.upper - ambient))
-    return float(np.mean(dist < epsilon))
+    walls = None if mirror_map.kind == "simplex-entropy" else (mirror_map.lower, mirror_map.upper)
+    return float(np.mean(_row_min(ambient, walls) < epsilon))
 
 
-def _row_min(a: Array) -> Array:
+def _row_min(a: Array, walls=None) -> Array:
     """``np.min(a, axis=-1)`` as a running minimum over the columns, which is
-    faster along a short last axis; bit-identical, NaN included."""
-    out = a[:, 0]
-    for c in range(1, a.shape[1]):
-        out = np.minimum(out, a[:, c])
+    faster along a short last axis; bit-identical, NaN included.  With
+    ``walls = (lower, upper)`` it is the row minimum of the wall gaps
+    ``np.minimum(a - lower, upper - a)``, each column's gaps taken in turn
+    instead of broadcasting the bounds across rows."""
+    columns = a.T
+    if walls is not None:
+        columns = (np.minimum(x - lo, hi - x) for x, lo, hi in zip(columns, *walls))
+    columns = iter(columns)
+    out = next(columns)
+    for col in columns:
+        out = np.minimum(out, col)
     return out
+
+
+def _column_mean(a: Array) -> Array:
+    """``np.mean(a, axis=0)`` of an (N, d) array, bit for bit.
+
+    On a C-contiguous array with d >= 2, numpy sums each column row after
+    row and divides by N; ``einsum('ij->j')`` takes the same running sums in
+    one whole-array kernel instead of N passes d elements wide.  At d = 1,
+    or in another memory order, numpy sums pairwise, and ``np.mean`` is kept.
+    """
+    if a.shape[1] == 1 or not a.flags.c_contiguous:
+        return np.mean(a, axis=0)
+    return np.einsum("ij->j", a) / a.shape[0]
 
 
 def metrics_recorder(mirror_map, objective, epsilon: float):
@@ -80,7 +106,7 @@ def metrics_recorder(mirror_map, objective, epsilon: float):
             iteration=ensemble.iteration,
             objective_value=objective.value(ensemble.evaluation(objective)),
             boundary_fraction=boundary_fraction(ambient, mirror_map, epsilon),
-            mean=tuple(float(v) for v in np.mean(ambient, axis=0)),
+            mean=tuple(float(v) for v in _column_mean(ambient)),
             coord_min=float(np.min(ambient)),
             coord_max=float(np.max(ambient)),
             wall_ms=(clock() - start) * 1e3,

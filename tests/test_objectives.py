@@ -154,6 +154,22 @@ def test_barrier_requires_interior(simplex3):
     assert np.isfinite(free.value(free.stats(boundary)))
 
 
+@pytest.mark.parametrize("obj", [
+    LinearPotential(alpha=(2.0, 3.0, 1.5), reference_temperature=0.1),
+    MeanMatchBarrier(target=Q, beta=1e-4),
+], ids=["linear", "mean-match-barrier"])
+def test_positivity_scan_rejects_nan(obj, rng):
+    # a NaN minimum fails the scan at once, named as such; it used to pass
+    # and fail only in the kick, as non-finite Hessian entries
+    amb = rng.dirichlet(np.ones(3), size=20)
+    amb[11, 2] = np.nan
+    with pytest.raises(DomainViolationError, match="non-finite"):
+        obj.stats(amb)
+    amb[11, 2] = -0.0
+    with pytest.raises(DomainViolationError, match="non-positive"):
+        obj.stats(amb)
+
+
 # -- first variation gradient --------------------------------------------------
 
 def test_mean_match_gradient_stationary_at_target(simplex3):
@@ -161,6 +177,32 @@ def test_mean_match_gradient_stationary_at_target(simplex3):
     at_target = obj.stats(np.array([Q]))   # one-point cloud: mean exactly Q
     g = first_variation_grad(obj, np.array([0.3, 0.4]), at_target, simplex3)
     assert np.allclose(g, 0.0, atol=1e-15)
+
+
+def _broadcast_mean_match_grad(obj, record):
+    """The row-major gradient ``MeanMatchBarrier.potential_grad`` built before
+    it went coordinate-first: the reference its bits must match."""
+    g = np.broadcast_to(2.0 * (record.stats - obj._q), record.ambient.shape).copy()
+    if obj.beta > 0.0:
+        g -= obj.beta / record.ambient
+    return g
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-4, 0.37])
+@pytest.mark.parametrize("d, n", [(3, 10_000), (50, 2000), (2, 1)])
+def test_mean_match_gradient_equals_broadcast_reference(beta, d, n, rng):
+    q = rng.dirichlet(np.ones(d))
+    obj = MeanMatchBarrier(target=tuple(q / q.sum()), beta=beta)
+    amb = rng.dirichlet(np.full(d, 0.2), size=n)
+    amb[amb == 0.0] = 5e-324    # strictly positive, down to the least subnormal
+    record = obj.stats(amb)
+    ref = _broadcast_mean_match_grad(obj, record)
+    for rec, want in ((record, ref), (record.rows(n // 3, n // 2 + 1), ref[n // 3:n // 2 + 1])):
+        grad = obj.potential_grad(rec)
+        assert grad.shape == want.shape
+        assert np.array_equal(grad.view(np.uint64), want.view(np.uint64))
+        # coordinate-first, so the pullback reads contiguous rows
+        assert grad.T.flags.c_contiguous
 
 
 def test_mean_match_gradient_pullback(simplex3):

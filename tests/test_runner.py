@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrormfld.config import dirichlet_config, figure1_config, parse_config
 from mirrormfld.errors import MismatchedObjectiveError
@@ -65,7 +67,8 @@ def test_boundary_fraction_box():
 @pytest.mark.parametrize("kind", ["simplex", "box"])
 def test_boundary_fraction_column_minimum_matches_reduction(kind, simplex3):
     # the running column minimum equals np.min along the last axis bit for
-    # bit, NaN rows included, on rows near a face or a wall
+    # bit, NaN rows included, on rows near a face or on and near a wall; the
+    # box's gaps taken column by column equal the broadcast gaps reduced
     from mirrormfld.geometry import BoxLogBarrierMap
     from mirrormfld.runner import _row_min
     rng = np.random.default_rng(11)
@@ -75,12 +78,42 @@ def test_boundary_fraction_column_minimum_matches_reduction(kind, simplex3):
     else:
         mm = BoxLogBarrierMap(bounds=((-3.0, 3.0), (0.0, 1.0), (-1.0, 2.0)))
         pts = mm.lower + rng.beta(0.05, 0.05, size=(4000, 3)) * (mm.upper - mm.lower)
+        pts[:40] = np.where(rng.random((40, 3)) < 0.5, mm.lower, mm.upper)
     pts[7, 1] = np.nan
+    pts[60] = np.nan
     gaps = pts if kind == "simplex" else np.minimum(pts - mm.lower, mm.upper - pts)
     reduced = np.min(gaps, axis=-1)
     assert 0.0 < np.mean(reduced < 1e-3) < 1.0
     assert np.array_equal(_row_min(gaps), reduced, equal_nan=True)
+    if kind == "box":
+        walls = _row_min(pts, (mm.lower, mm.upper))
+        assert np.array_equal(walls.view(np.uint64), reduced.view(np.uint64))
     assert boundary_fraction(pts, mm, 1e-3) == float(np.mean(reduced < 1e-3))
+
+
+_signed_floats = st.builds(lambda sign, mant, exp: sign * mant * 10.0 ** exp,
+                           st.sampled_from([-1.0, 1.0]), st.floats(1.0, 10.0),
+                           st.integers(-300, 299))
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.sampled_from([1, 2, 3, 16, 50]), n=st.integers(1, 50_000),
+       seed=st.integers(0, 2 ** 32 - 1), spread=st.integers(0, 300),
+       pinned=st.lists(_signed_floats, max_size=8))
+def test_column_mean_equals_numpy_mean(d, n, seed, spread, pinned):
+    # the tick's column mean against np.mean(a, axis=0) as uint64 words:
+    # signed values spanning 10^-spread to 10^spread, with a few hand-drawn
+    # ones, whose sums depend on the order they are taken in
+    from mirrormfld.runner import _column_mean
+    gen = np.random.default_rng(seed)
+    a = gen.standard_normal((n, d)) * 10.0 ** gen.integers(-spread, spread + 1, (n, d))
+    cells = gen.integers(0, a.size, len(pinned))
+    a.flat[cells] = pinned
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.mean(a, axis=0)
+        got = _column_mean(a)
+    assert got.shape == (d,)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # -- run_experiment --------------------------------------------------------------
