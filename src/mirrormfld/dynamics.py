@@ -77,7 +77,9 @@ PROJECTION_NUDGE = 1e-6
 # explodes, and a single kick underflows the softmax onto the exact
 # boundary.  The cap binds only inside a boundary layer of thickness
 # O(eta) -- at the shipped step sizes bulk increments sit two orders of
-# magnitude below it -- so the discretization limit is unchanged.
+# magnitude below it -- but inside that layer it changes the law: on the
+# box it strips the walls' inward drift (see
+# ``BoxLogBarrierMap.diffusion_substep``).
 DUAL_STEP_CAP = 4.0
 
 
@@ -185,10 +187,10 @@ def inner_diffusion(y: Array, mirror_map, temperature: float, eta: float,
     inverse equals the primal Hessian there, so no matrix inversion occurs
     (and the Hessian is assembled straight from y, which stays accurate
     arbitrarily close to the boundary).  With ``step_cap`` set, increments
-    are tamed and the simplex map switches to its exact near-face kernel
-    inside the layer where the Euler kick is unresolvable -- see
-    ``SimplexEntropyMap.diffusion_substep``.  The bare operation defaults
-    to the untamed update.
+    are tamed and the simplex map redraws the face distance inside the layer
+    where the Euler kick is unresolvable, from a law that is exact only at
+    depth 0 and dimension 2 -- see ``SimplexEntropyMap.diffusion_substep``.
+    The bare operation defaults to the untamed update.
     """
     if temperature == 0.0 or eta == 0.0:
         return y

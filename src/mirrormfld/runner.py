@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -241,7 +242,7 @@ def compare_runs(*summaries: dict) -> dict:
 def load_summary(path) -> dict:
     """Read a run summary; the ``ValueError`` for any other file names the
     file, and for other JSON the first key it lacks or whose value is not a
-    number."""
+    finite number (``json`` parses ``NaN`` and ``Infinity``)."""
     with open(path, encoding="utf-8") as fh:
         try:
             summary = json.load(fh)
@@ -253,7 +254,9 @@ def load_summary(path) -> dict:
     if not isinstance(summary["config"], dict) or "objective" not in summary["config"]:
         raise ValueError(f"{path}: not a run summary (missing key 'config.objective')")
     for key in ("final_objective", "final_boundary_fraction"):
-        if isinstance(summary[key], bool) or not isinstance(summary[key], (int, float)):
-            raise ValueError(f"{path}: not a run summary ({key!r} is not a number: "
-                             f"{summary[key]!r})")
+        value = summary[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value):
+            raise ValueError(f"{path}: not a run summary ({key!r} is not a finite number: "
+                             f"{value!r})")
     return summary

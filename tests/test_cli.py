@@ -236,7 +236,8 @@ def test_compare_non_summary_exits_3(tmp_path, capsys, payload):
 
 
 @pytest.mark.parametrize("key", ["final_objective", "final_boundary_fraction"])
-@pytest.mark.parametrize("value", ["oops", None, True])
+@pytest.mark.parametrize("value", ["oops", None, True, float("nan"), float("inf"),
+                                   float("-inf")])
 def test_compare_non_numeric_summary_exits_3(tmp_path, capsys, key, value):
     summary = {"sampler": "mmfld", "seed": 0, "final_objective": 0.5,
                "final_boundary_fraction": 0.1, "config": {"objective": {}}}
@@ -246,7 +247,7 @@ def test_compare_non_numeric_summary_exits_3(tmp_path, capsys, key, value):
     bad.write_text(json.dumps({**summary, key: value}))
     assert main(["compare", str(good), str(bad)]) == 3
     err = capsys.readouterr().err
-    assert str(bad) in err and f"{key!r} is not a number" in err
+    assert str(bad) in err and f"{key!r} is not a finite number" in err
 
 
 def test_compare_non_json_exits_3(tmp_path, capsys):

@@ -10,7 +10,6 @@ from mirrormfld.geometry import (
     BoxLogBarrierMap,
     SimplexEntropyMap,
     coordinate_sum,
-    self_concordance_probe,
 )
 
 from conftest import interior_box_points, interior_simplex_points
@@ -441,41 +440,106 @@ def test_map_constructors_validate():
         SimplexEntropyMap(ambient_dim=1)
 
 
-# -- self-concordance probe ---------------------------------------------------
+# -- self-concordance ---------------------------------------------------------
 
 def test_box_barrier_one_self_concordant(unit_box):
-    ratios = [self_concordance_probe(unit_box, np.array([x]), np.array([1.0]))
-              for x in np.linspace(0.05, 0.95, 19)]
-    assert max(ratios) <= 1.0 + 1e-3
+    x = np.linspace(0.05, 0.95, 19)[None]
+    ratios = unit_box.self_concordance(x, np.ones_like(x))
+    assert ratios.shape == (19,)
+    assert np.max(ratios) <= 1.0 + 1e-3
 
 
-def test_probe_scale_invariant_in_direction(simplex3):
+def test_self_concordance_scale_invariant_in_direction(simplex3):
     x = np.array([0.4, 0.25])
     u = np.array([0.3, -0.7])
-    r1 = self_concordance_probe(simplex3, x, u)
-    r2 = self_concordance_probe(simplex3, x, 10.0 * u)
+    r1 = simplex3.self_concordance(x, u)
+    r2 = simplex3.self_concordance(x, 10.0 * u)
     assert r1 == pytest.approx(r2, abs=1e-6)
 
 
-def test_probe_simplex_barycenter(simplex3):
+def test_self_concordance_simplex_barycenter(simplex3):
     # (1, 1) has a genuine third derivative at the barycenter: the exact
     # ratio is sqrt(2)/4.  Along (1, -1) the cubic form vanishes there by
-    # symmetry, so only stencil noise remains.
-    r = self_concordance_probe(simplex3, np.array([1 / 3, 1 / 3]), np.array([1.0, 1.0]))
+    # symmetry.
+    r = simplex3.self_concordance(np.array([1 / 3, 1 / 3]), np.array([1.0, 1.0]))
     assert r == pytest.approx(np.sqrt(2) / 4, abs=1e-6)
-    r0 = self_concordance_probe(simplex3, np.array([1 / 3, 1 / 3]), np.array([1.0, -1.0]))
+    r0 = simplex3.self_concordance(np.array([1 / 3, 1 / 3]), np.array([1.0, -1.0]))
     assert 0.0 <= r0 <= 1e-8
 
 
-def test_probe_conjugate_variant(unit_box, simplex3):
-    r = self_concordance_probe(unit_box, np.array([2.0]), np.array([1.0]),
-                               conjugate=True)
-    assert np.isfinite(r) and r >= 0
-    r = self_concordance_probe(simplex3, np.array([0.5, -0.3]), np.array([1.0, 1.0]),
-                               conjugate=True)
-    assert np.isfinite(r) and r >= 0
+def _fd_third(q, h):
+    """5-point central difference of q'(0), q evaluated at step multiples of h."""
+    return (-q(2 * h) + 8.0 * q(h) - 8.0 * q(-h) + q(-2 * h)) / (12.0 * h)
 
 
-def test_probe_rejects_zero_direction(simplex3):
+def test_self_concordance_conjugate_identity(unit_box, box2, simplex3):
+    # The conjugate barrier's ratio at y along v is the barrier's at
+    # x = backward(y) along w = H(x)^{-1} v: D^2 phi*(y)[v,v] = D^2 phi(x)[w,w]
+    # and D^3 phi*(y)[v,v,v] = -D^3 phi(x)[w,w,w].  Reference: a 5-point
+    # difference of s -> v^T H(backward(y + s v))^{-1} v.
+    cases = [(unit_box, [2.0], [1.0]), (unit_box, [-5.0], [1.0]),
+             (box2, [0.5, -2.0], [1.0, 1.0]), (box2, [3.0, 1.0], [0.4, -1.3]),
+             (simplex3, [0.5, -0.3], [1.0, 1.0]), (simplex3, [2.0, -1.0], [0.7, -0.2])]
+    for mirror_map, y, v in cases:
+        y, v = np.array(y), np.array(v)
+
+        def q(s):
+            return v @ np.linalg.solve(mirror_map.metric_from_dual(y + s * v, 0.0)[0], v)
+
+        h = 1e-3 * (1.0 + np.linalg.norm(y)) / np.linalg.norm(v)
+        reference = abs(_fd_third(q, h)) / (2.0 * q(0.0) ** 1.5)
+        w = np.linalg.solve(mirror_map.metric_from_dual(y, 0.0)[0], v)
+        r = mirror_map.self_concordance(mirror_map.backward(y), w)
+        assert np.isfinite(r) and r >= 0
+        assert r == pytest.approx(reference, abs=1e-9)
+
+
+@pytest.mark.parametrize("which", ["simplex3", "simplex10", "box3"])
+def test_self_concordance_matches_metric_differences(which, rng):
+    # D^2 from metric_from_dual and D^3 from a 5-point difference of
+    # s -> u^T H(x + s u) u, at up to 200 random interior points as one
+    # batch.  The step is 1e-3 of each point's distance to the boundary
+    # along u; the difference loses digits near a wall, so points close to
+    # one are left out.
+    n = 200
+    if which == "box3":
+        mirror_map = BoxLogBarrierMap(bounds=[(-3.0, 3.0), (0.0, 1.0), (-1.0, 4.0)])
+        x = interior_box_points(rng, mirror_map, n, least=0.01).T.copy()
+        gaps = np.concatenate([x - mirror_map.lower[:, None], mirror_map.upper[:, None] - x])
+        u = rng.normal(size=x.shape)
+        reach = np.abs(np.concatenate([u, u]))
+    else:
+        d = 3 if which == "simplex3" else 10
+        mirror_map = SimplexEntropyMap(ambient_dim=d)
+        gaps = rng.dirichlet(np.ones(d), size=n).T
+        gaps = gaps[:, gaps.min(axis=0) >= 1e-3]
+        x = gaps[:-1].copy()
+        u = rng.normal(size=x.shape)
+        reach = np.abs(np.concatenate([u, -u.sum(axis=0, keepdims=True)]))
+    h = 1e-3 * np.min(gaps / reach, axis=0)
+
+    def q(s):
+        hess = mirror_map.metric_from_dual(mirror_map.forward(x + s * u), 0.0)[0]
+        return np.einsum("iN,ijN,jN->N", u, hess, u)
+
+    reference = np.abs(_fd_third(q, h)) / (2.0 * q(0.0) ** 1.5)
+    r = mirror_map.self_concordance(x, u)
+    assert r.shape == x.shape[1:]
+    np.testing.assert_allclose(r, reference, rtol=1e-7, atol=1e-9)
+
+
+def test_self_concordance_rejects_zero_direction(simplex3):
     with pytest.raises(ValueError):
-        self_concordance_probe(simplex3, np.array([1 / 3, 1 / 3]), np.zeros(2))
+        simplex3.self_concordance(np.array([1 / 3, 1 / 3]), np.zeros(2))
+    x = np.full((2, 3), 0.25)
+    u = np.ones((2, 3))
+    u[:, 1] = 0.0
+    with pytest.raises(ValueError):
+        simplex3.self_concordance(x, u)
+
+
+def test_self_concordance_requires_interior(simplex3, unit_box):
+    with pytest.raises(DomainViolationError):
+        simplex3.self_concordance(np.array([0.6, 0.4]), np.array([1.0, 0.0]))
+    with pytest.raises(DomainViolationError):
+        unit_box.self_concordance(np.array([1.0]), np.array([1.0]))
